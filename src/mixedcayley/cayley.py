@@ -3,7 +3,7 @@
 The connection set splits canonically into a symmetric part (undirected
 edges) and a skew part (directed arcs).  Spectra are computed exactly as
 character sums over the group, never from the matrix; the dense matrices
-and the Jacobi eigensolver exist only as an independent numeric
+and the LAPACK eigensolver exist only as an independent numeric
 cross-check of those closed forms.
 """
 
@@ -28,7 +28,7 @@ MAX_ORACLE_SIZE = 128
 
 
 class NumericOracleError(RuntimeError):
-    """The Jacobi oracle failed to converge or to pair its eigenvalues."""
+    """The LAPACK eigensolver behind the numeric oracle failed."""
 
 
 @dataclass(frozen=True)
@@ -180,67 +180,14 @@ def hermitian_complex(m: MixedGraphMatrices) -> np.ndarray:
     )
 
 
-def _jacobi_symmetric_eigenvalues(
-    a: np.ndarray, tol: float, max_sweeps: int
-) -> np.ndarray:
-    """Cyclic Jacobi diagonalization of a real symmetric matrix."""
-    a = a.copy()
-    nn = a.shape[0]
-    for _ in range(max_sweeps):
-        upper = a[np.triu_indices(nn, k=1)]
-        if math.sqrt(2.0 * float(np.dot(upper, upper))) < tol:
-            return np.sort(np.diag(a))
-        for p in range(nn - 1):
-            for q in range(p + 1, nn):
-                apq = a[p, q]
-                # entries this small cannot keep the off-diagonal norm above tol
-                if abs(apq) <= 1e-15:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    raise NumericOracleError(
-        f"Jacobi sweep limit {max_sweeps} reached without convergence"
-    )
-
-
-def numeric_hermitian_eigenvalues(
-    m: MixedGraphMatrices,
-    tol: float = 1e-12,
-    max_sweeps: int = 100,
-    pair_tol: float = 1e-9,
-) -> list[float]:
-    """Eigenvalues of the complex Hermitian matrix via a real embedding.
-
-    H = X + iY is embedded as the real symmetric [[X, -Y], [Y, X]], whose
-    spectrum is that of H with every multiplicity doubled; the doubled
-    values are paired greedily after sorting and averaged.  Convergence is
-    declared when the off-diagonal Frobenius norm drops below ``tol``.
-    """
+def numeric_hermitian_eigenvalues(m: MixedGraphMatrices) -> list[float]:
+    """Eigenvalues of the complex Hermitian matrix, ascending, from LAPACK."""
     if m.n > MAX_ORACLE_SIZE:
         raise ValueError(f"numeric oracle capped at n <= {MAX_ORACLE_SIZE}, got {m.n}")
-    h = hermitian_complex(m)
-    x, y = h.real, h.imag
-    embedded = np.block([[x, -y], [y, x]])
-    d = _jacobi_symmetric_eigenvalues(embedded, tol=tol, max_sweeps=max_sweeps)
-    out: list[float] = []
-    for i in range(m.n):
-        lo, hi = d[2 * i], d[2 * i + 1]
-        if hi - lo > pair_tol:
-            raise NumericOracleError(
-                f"doubled eigenvalues failed to pair: gap {hi - lo:.3e} at index {i}"
-            )
-        out.append(float(lo + hi) / 2.0)
-    return out
+    try:
+        return [float(v) for v in np.linalg.eigvalsh(hermitian_complex(m))]
+    except np.linalg.LinAlgError as exc:
+        raise NumericOracleError(f"eigvalsh failed: {exc}") from exc
 
 
 def element_label(x: Element) -> str:

@@ -17,23 +17,40 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, tau
+from math import lcm, prod, tau
 
 from .atoms import g_units_mod3
 
 Rational = int | Fraction
 
-# Above this order, canonical reduction falls back to direct polynomial
-# remainders instead of a precomputed power table (memory trade-off; 1500
-# covers the lcm of any two orders up to 36).
-_TABLE_LIMIT = 1500
+
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
+
+
+@lru_cache(maxsize=None)
+def _radical(n: int) -> int:
+    return prod(_prime_factors(n))
 
 
 @lru_cache(maxsize=None)
 def totient(m: int) -> int:
     if m < 1:
         raise ValueError(f"totient needs a positive integer, got {m}")
-    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+    for p in _prime_factors(m):
+        m = m // p * (p - 1)
+    return m
 
 
 @dataclass(frozen=True)
@@ -63,99 +80,92 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __add__(self, other: Poly) -> Poly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return Poly.of(x + y for x, y in zip(a, b))
 
-    def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
-
-    def __mul__(self, other: Poly) -> Poly:
-        if self.is_zero() or other.is_zero():
-            return Poly(())
-        out: list[Rational] = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j, d in enumerate(other.coeffs):
-                if d != 0:
-                    out[i + j] += c * d
-        return Poly.of(out)
-
-    def __divmod__(self, divisor: Poly) -> tuple[Poly, Poly]:
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q: list[Rational] = [0] * max(len(self.coeffs) - len(divisor.coeffs) + 1, 0)
-        r = list(self.coeffs)
-        dlead = divisor.coeffs[-1]
-        dn = len(divisor.coeffs)
-        while len(r) >= dn and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < dn:
-                break
-            t = r[-1] / Fraction(dlead) if dlead != 1 else r[-1]
-            shift = len(r) - dn
-            q[shift] = t
-            for i, d in enumerate(divisor.coeffs):
-                r[shift + i] -= t * d
-        return Poly.of(q), Poly.of(r)
-
-    def __floordiv__(self, divisor: Poly) -> Poly:
-        return divmod(self, divisor)[0]
-
-    def __mod__(self, divisor: Poly) -> Poly:
-        return divmod(self, divisor)[1]
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+def _times_binomial(a: list[int], d: int) -> list[int]:
+    """a(x) * (x^d - 1)."""
+    out = [0] * d + a
+    for i, c in enumerate(a):
+        out[i] -= c
+    return out
 
 
-def _normalize_int(c: Rational) -> Rational:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+def _over_binomial(a: list[int], d: int) -> list[int]:
+    """a(x) / (x^d - 1), which must divide exactly."""
+    a = list(a)
+    for i in range(len(a) - 1, d - 1, -1):
+        a[i - d] += a[i]
+    if any(a[:d]):
+        raise ArithmeticError(f"division by x^{d} - 1 left a remainder")
+    return a[d:]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> Poly:
-    """The m-th cyclotomic polynomial: x^m - 1 divided by all lower ones."""
+    """The m-th cyclotomic polynomial, built as Phi_r(x^(m/r)) with r = rad(m).
+
+    For squarefree r, Phi_r = prod over d | r of (x^d - 1)^mu(r/d), so it
+    takes only multiplications and exact divisions by binomials.
+    """
     if m < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {m}")
-    poly = Poly.of([-1] + [0] * (m - 1) + [1])
-    for d in range(1, m):
-        if m % d == 0:
-            poly, rem = divmod(poly, cyclotomic_poly(d))
-            if not rem.is_zero():
-                raise ArithmeticError(f"cyclotomic division left a remainder at m={m}")
-    return Poly(tuple(_normalize_int(c) for c in poly.coeffs))
+    primes = _prime_factors(m)
+    signed = [(1, 1)]  # (d, mu(d)) for every divisor d of r
+    for p in primes:
+        signed += [(d * p, -mu) for d, mu in signed]
+    mu_r = (-1) ** len(primes)  # mu(r/d) = mu(r) * mu(d) since r is squarefree
+    poly = [1]
+    for d, mu in signed:
+        if mu == mu_r:
+            poly = _times_binomial(poly, d)
+    for d, mu in signed:
+        if mu != mu_r:
+            poly = _over_binomial(poly, d)
+    k = m // _radical(m)
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return Poly(tuple(out))
 
 
 @lru_cache(maxsize=None)
-def _canonical_rows(order: int) -> tuple[tuple[int, ...], ...]:
-    """Row j = integer coefficients of x^j reduced modulo Phi_order."""
-    phi = totient(order)
-    mod = cyclotomic_poly(order).coeffs  # monic, degree phi
-    rows: list[tuple[int, ...]] = []
-    for j in range(phi):
-        rows.append(tuple(1 if i == j else 0 for i in range(phi)))
-    for j in range(phi, order):
-        prev = rows[j - 1]
-        shifted = [0] + list(prev[:-1])
-        lead = prev[-1]
-        if lead:
-            for i in range(phi):
-                shifted[i] -= lead * mod[i]
-        rows.append(tuple(shifted))
+def _power_rows(r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row q = the nonzero (i, c) terms of y^q modulo Phi_r(y), for q < r."""
+    phi = totient(r)
+    low = [(i, c) for i, c in enumerate(cyclotomic_poly(r).coeffs[:phi]) if c]
+    rows = []
+    row = {0: 1}
+    for _ in range(r):
+        rows.append(tuple(row.items()))
+        lead = row.pop(phi - 1, 0)
+        row = {i + 1: c for i, c in row.items()}
+        if lead:  # y^phi = -(low terms of Phi_r)
+            for i, c in low:
+                v = row.get(i, 0) - lead * c
+                if v:
+                    row[i] = v
+                else:
+                    del row[i]
     return tuple(rows)
+
+
+def _reduce(order: int, coeffs) -> CycloNum:
+    """Canonical form of sum_j coeffs[j] * w_order^j.
+
+    With r = rad(order) and k = order / r, Phi_order(x) = Phi_r(x^k), so
+    x^(q*k + t) reduces to row q of the r-th power table with every
+    exponent i moved to i*k + t.  Those land below totient(r) * k =
+    totient(order), which is already canonical.
+    """
+    r = _radical(order)
+    k = order // r
+    rows = _power_rows(r)
+    phi = totient(order)
+    out: list[Rational] = [0] * phi
+    for j, c in enumerate(coeffs):
+        if c:
+            q, t = divmod(j, k)
+            for i, d in rows[q]:
+                out[i * k + t] += c * d
+    return CycloNum(order, tuple(out) + (0,) * (order - phi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,24 +252,9 @@ class CycloNum:
 
     def reduce(self) -> CycloNum:
         """Canonical form: remainder modulo Phi_N, support below totient(N)."""
-        n = self.order
-        phi = totient(n)
-        if all(c == 0 for c in self.coeffs[phi:]):
+        if not any(self.coeffs[totient(self.order):]):
             return self
-        if n <= _TABLE_LIMIT:
-            rows = _canonical_rows(n)
-            out: list[Rational] = [0] * phi
-            for j, c in enumerate(self.coeffs):
-                if c == 0:
-                    continue
-                row = rows[j]
-                for k in range(phi):
-                    if row[k]:
-                        out[k] += c * row[k]
-        else:
-            rem = Poly.of(self.coeffs) % cyclotomic_poly(n)
-            out = list(rem.coeffs) + [0] * (phi - len(rem.coeffs))
-        return CycloNum(n, tuple(out) + (0,) * (n - phi))
+        return _reduce(self.order, self.coeffs)
 
     def canonical_coeffs(self) -> tuple[Rational, ...]:
         """The first totient(N) coefficients of the reduced form."""
@@ -306,22 +301,9 @@ def reduce_root_counts(order: int, counts) -> CycloNum:
     """Reduced sum of roots of unity with integer multiplicities.
 
     ``counts[j]`` is the (possibly negative) multiplicity of w_order^j.
-    This is the hot path for character sums: all-integer arithmetic,
-    reduced straight through the canonical power table.
+    This is the hot path for character sums.
     """
-    phi = totient(order)
-    if order <= _TABLE_LIMIT:
-        rows = _canonical_rows(order)
-        out = [0] * phi
-        for j, c in enumerate(counts):
-            if c == 0:
-                continue
-            row = rows[j]
-            for k in range(phi):
-                if row[k]:
-                    out[k] += c * row[k]
-        return CycloNum(order, tuple(out) + (0,) * (order - phi))
-    return CycloNum(order, tuple(counts)).reduce()
+    return _reduce(order, counts)
 
 
 def as_integer(z: CycloNum) -> int | None:

@@ -280,6 +280,8 @@ def enumerate_hs_integral(
     are reproducible.  ``budget`` caps the number of emitted sets, with
     the overflow flagged rather than silently dropped.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"enumeration budget must be >= 0, got {budget}")
     choices = _atom_choices(group)
     total = 1
     for c in choices:
@@ -391,6 +393,10 @@ def verify_theorems(
     checked once per group.  Exhaustive when 2^(n-1) fits in the budget,
     otherwise a seeded uniform sample of ``budget`` subsets.
     """
+    if budget is not None and budget < 1:
+        raise ValueError(f"verification budget must be >= 1, got {budget}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     nonzero = tuple(x for x in group.elements if x != group.zero)
     total = 1 << len(nonzero)
     exhaustive = budget is None or total <= budget

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from mixedcayley import (
+    NumericOracleError,
     as_integer,
     build_matrices,
     exact_spectrum,
@@ -189,6 +192,25 @@ def test_numeric_oracle_size_cap():
     fake = MixedGraphMatrices(n=129, adjacency=(), hermitian2=())
     with pytest.raises(ValueError):
         numeric_hermitian_eigenvalues(fake)
+
+
+def test_numeric_oracle_wraps_lapack_failure(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    g = make_group([3])
+    with pytest.raises(NumericOracleError):
+        numeric_hermitian_eigenvalues(build_matrices(make_connection_set(g, {(1,)})))
+
+
+def test_exact_spectrum_large_cyclic_is_fast():
+    g = make_group([1024])
+    cs = make_connection_set(g, {(x,) for x in (1, 3, 100, 511, 700, 900, 1000, 1023)})
+    start = time.perf_counter()
+    spectrum = exact_spectrum(cs, "hs")
+    assert time.perf_counter() - start < 2.0
+    assert len(spectrum.entries) == 1024
 
 
 def test_oracle_agrees_with_exact_spectrum():

@@ -189,6 +189,28 @@ def test_cli_verify_schema_and_determinism():
     assert out1 == out3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--group", "9", "--budget", "0"),
+        ("verify", "--group", "9", "--budget", "-1"),
+        ("verify", "--group", "9", "--jobs", "0"),
+        ("verify", "--group", "9", "--jobs", "-2", "--budget", "8"),
+        ("enumerate", "--group", "9", "--budget", "-1"),
+    ],
+)
+def test_cli_rejects_vacuous_and_invalid_inputs(argv, monkeypatch):
+    import concurrent.futures
+
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a rejected input must not start worker processes")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_workers)
+    code, out, err = run_cli(*argv)
+    assert code == 1 and not out
+    assert err.startswith("error: ")
+
+
 def test_cli_atoms_listing():
     code, out, _ = run_cli("atoms", "--group", "12")
     assert code == 0

@@ -18,10 +18,11 @@ from mixedcayley import (
     as_rational,
     cyclotomic_poly,
     phi3_factors,
+    reduce_root_counts,
     root,
     totient,
 )
-from mixedcayley.cyclo import Poly, cyclo_poly_mul, poly_to_cyclo
+from mixedcayley.cyclo import cyclo_poly_mul, poly_to_cyclo
 
 
 # -- independent polynomial oracle (lists of Fractions, constant term first)
@@ -97,6 +98,14 @@ def test_cyclotomic_poly_shape():
         assert all(isinstance(c, int) for c in p.coeffs)
 
 
+def test_cyclotomic_poly_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in list(range(1, 400)) + [1506, 1536, 8190]:
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()
+        assert cyclotomic_poly(m).coeffs == tuple(int(c) for c in reversed(expected)), m
+
+
 def test_reduce_examples():
     z = root(6, 3).reduce()
     assert z.coeffs[0] == -1 and all(c == 0 for c in z.coeffs[1:])
@@ -106,6 +115,25 @@ def test_reduce_examples():
     expected = CycloNum(9, tuple(r) + (0,) * (9 - len(r)))
     assert root(9, 8) == expected
     assert root(9, 8).canonical_coeffs() == (0, 0, -1, 0, 0, -1)
+
+
+# 486 and 768 are radical-power orders, 1506 is squarefree, 1536 = 2^9 * 3
+@pytest.mark.parametrize("order", [486, 768, 1506, 1536])
+def test_reduce_large_orders_against_division_oracle(order):
+    rng = random.Random(order)
+    modulus = list(cyclotomic_poly(order).coeffs)
+    for _ in range(5):
+        counts = [0] * order
+        for j in rng.sample(range(order), 8):
+            counts[j] = rng.randint(-10, 10)
+        _, r = oracle_divmod(counts, modulus)
+        expected = tuple(r) + (0,) * (order - len(r))
+        z = reduce_root_counts(order, counts)
+        assert z.coeffs == expected
+        third = CycloNum(order, tuple(Fraction(c, 3) for c in counts)).reduce()
+        assert third.coeffs == tuple(c / 3 for c in expected)
+        direct = sum(c * cmath.exp(1j * tau * j / order) for j, c in enumerate(counts))
+        assert abs(direct - z.to_complex()) < 1e-9
 
 
 def test_as_integer_examples():
