@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import IO
 
 from .atoms import AtomDecomposition, atom_partition, eclass_of
 from .cayley import ExactSpectrum, exact_spectrum, make_connection_set, to_dot
-from .cyclo import CycloNum
+from .cyclo import CycloNum, totient
 from .groups import Element, GroupSpec, parse_group
 from .integrality import (
     ClassificationReport,
@@ -123,21 +124,25 @@ def format_set(members, group: GroupSpec) -> str:
     return ",".join(format_element(x, group) for x in sorted(members))
 
 
-def _rational_str(c) -> str:
-    f = Fraction(c)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
-def cyclo_to_json(z: CycloNum) -> dict:
-    """Exact canonical coefficients plus a 12-place decimal approximation."""
-    reduced = z.reduce()
+def _approx_text(reduced: CycloNum) -> str:
+    """A canonical-form value as "<re>+<im>i" with 12 decimal places."""
     approx = reduced.to_complex()
     re = approx.real + 0.0
     im = approx.imag + 0.0
+    return f"{re:.12f}{im:+.12f}i"
+
+
+def cyclo_to_json(z: CycloNum) -> dict:
+    """Exact canonical coefficients plus a 12-place decimal approximation.
+
+    ``str`` writes an int as its digits and a Fraction as "p/q", or as its
+    numerator when the denominator is 1.
+    """
+    reduced = z.reduce()
     return {
         "order": z.order,
-        "coeffs": [_rational_str(c) for c in reduced.canonical_coeffs()],
-        "approx": f"{re:.12f}{im:+.12f}i",
+        "coeffs": list(map(str, reduced.coeffs[: totient(z.order)])),
+        "approx": _approx_text(reduced),
     }
 
 
@@ -182,6 +187,56 @@ def verification_to_json(report: VerificationReport) -> dict:
     }
 
 
+def _write_json(obj, out: list[str], newline: str) -> None:
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(map(isinstance, obj, repeat(str))):
+            out.append("[" + inner + ("," + inner).join(map(_quote, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def _dump_json(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2)`` for str-keyed dicts, lists,
+    tuples, str, int, bool and None, written without the pure-Python encoder."""
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
 def _emit(text: str, out_path: str | None, stream: IO[str]) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -213,11 +268,7 @@ def _run_classify(args, stdout: IO[str]) -> int:
     elif args.format == "text":
         _emit(_classification_text(report), args.out, stdout)
     else:
-        _emit(
-            json.dumps(classification_to_json(report), indent=2) + "\n",
-            args.out,
-            stdout,
-        )
+        _emit(_dump_json(classification_to_json(report)) + "\n", args.out, stdout)
     return 0 if report.consistency else 2
 
 
@@ -228,7 +279,7 @@ def _run_spectrum(args, stdout: IO[str]) -> int:
     spectrum = exact_spectrum(cs, args.kind)
     if args.format == "text":
         lines = [
-            f"{format_element(alpha, group)}  {cyclo_to_json(value)['approx']}"
+            f"{format_element(alpha, group)}  {_approx_text(value.reduce())}"
             for alpha, value in spectrum.entries.items()
         ]
         _emit("\n".join(lines) + "\n", args.out, stdout)
@@ -239,7 +290,7 @@ def _run_spectrum(args, stdout: IO[str]) -> int:
             "kind": args.kind,
             "entries": spectrum_to_json(spectrum),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out, stdout)
+        _emit(_dump_json(payload) + "\n", args.out, stdout)
     return 0
 
 
@@ -272,7 +323,7 @@ def _run_atoms(args, stdout: IO[str]) -> int:
                 lines.append(f"  skew class <<{format_element(tuple(cls['rep']), group)}>> = {{{cmembers}}}")
         _emit("\n".join(lines) + "\n", args.out, stdout)
     else:
-        _emit(json.dumps(payload, indent=2) + "\n", args.out, stdout)
+        _emit(_dump_json(payload) + "\n", args.out, stdout)
     return 0
 
 
@@ -302,7 +353,7 @@ def _run_enumerate(args, stdout: IO[str]) -> int:
 def _run_verify(args, stdout: IO[str]) -> int:
     group = parse_group(args.group)
     report = verify_theorems(group, budget=args.budget, seed=args.seed, jobs=args.jobs)
-    _emit(json.dumps(verification_to_json(report), indent=2) + "\n", args.out, stdout)
+    _emit(_dump_json(verification_to_json(report)) + "\n", args.out, stdout)
     return 0 if not report.counterexamples else 2
 
 
@@ -349,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, with_set=False)
     p.add_argument("--budget", type=int, default=4096, help="max subsets to test")
     p.add_argument("--seed", type=int, default=0, help="sampling seed when not exhaustive")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep, at most the CPU count")
 
     return parser
 

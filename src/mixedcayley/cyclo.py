@@ -14,9 +14,11 @@ and interoperate freely.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import lcm, prod, tau
 
 from .atoms import g_units_mod3
@@ -160,12 +162,18 @@ def _reduce(order: int, coeffs) -> CycloNum:
     rows = _power_rows(r)
     phi = totient(order)
     out: list[Rational] = [0] * phi
-    for j, c in enumerate(coeffs):
-        if c:
-            q, t = divmod(j, k)
-            for i, d in rows[q]:
-                out[i * k + t] += c * d
+    for j in compress(range(len(coeffs)), coeffs):
+        c = coeffs[j]
+        q, t = divmod(j, k)
+        for i, d in rows[q]:
+            out[i * k + t] += c * d
     return CycloNum(order, tuple(out) + (0,) * (order - phi))
+
+
+@lru_cache(maxsize=None)
+def _unit_roots(order: int) -> tuple[complex, ...]:
+    """Floating-point w_order^j for j < order."""
+    return tuple(cmath.exp(1j * tau * j / order) for j in range(order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +220,7 @@ class CycloNum:
         if not isinstance(other, CycloNum):
             other = CycloNum.from_rational(other)
         a, b = self._common(other)
-        return CycloNum(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return CycloNum(a.order, tuple(map(operator.add, a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
@@ -272,9 +280,10 @@ class CycloNum:
         return a.canonical_coeffs() == b.canonical_coeffs()
 
     def to_complex(self) -> complex:
-        n = self.order
+        roots = _unit_roots(self.order)
+        cs = self.coeffs
         return sum(
-            (complex(c) * cmath.exp(1j * tau * j / n) for j, c in enumerate(self.coeffs) if c != 0),
+            [complex(cs[j]) * roots[j] for j in compress(range(self.order), cs)],
             complex(0),
         )
 
@@ -306,17 +315,18 @@ def reduce_root_counts(order: int, counts) -> CycloNum:
     return _reduce(order, counts)
 
 
+def _as_int(v: Rational) -> int | None:
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else None
+    return v
+
+
 def as_integer(z: CycloNum) -> int | None:
     """The rational integer equal to z, or None if z is not one."""
     c = z.canonical_coeffs()
-    if any(v != 0 for v in c[1:]):
+    if any(c[1:]):
         return None
-    c0 = c[0]
-    if isinstance(c0, Fraction):
-        if c0.denominator != 1:
-            return None
-        return int(c0)
-    return c0
+    return _as_int(c[0])
 
 
 def as_rational(z: CycloNum) -> Fraction | None:
@@ -327,28 +337,36 @@ def as_rational(z: CycloNum) -> Fraction | None:
     return Fraction(c[0])
 
 
-def as_eisenstein(z: CycloNum) -> tuple[int, int] | None:
-    """Integers (a, b) with z = a + b*w_3, or None if no such pair exists.
-
-    Solves the two-unknown exact linear system over the canonical basis
-    after lifting z into a field containing w_3.
-    """
-    n = lcm(z.order, 3)
-    zl = z.lift(n)
-    c = zl.canonical_coeffs()
-    r3 = root(n, n // 3).canonical_coeffs()
+@lru_cache(maxsize=None)
+def _w3_row(order: int) -> tuple[tuple[int, ...], int]:
+    """Canonical coefficients of w_3 in Q(w_order) and their first nonzero slot above 0."""
+    r3 = root(order, order // 3).canonical_coeffs()
     pivot = next((k for k in range(1, len(r3)) if r3[k] != 0), None)
     if pivot is None:
         raise ArithmeticError("w_3 reduced to a rational number; broken reduction")
-    b = Fraction(c[pivot], r3[pivot])
-    a = Fraction(c[0]) - b * r3[0]
-    for k in range(len(c)):
-        expected = b * r3[k] + (a if k == 0 else 0)
-        if c[k] != expected:
-            return None
-    if a.denominator != 1 or b.denominator != 1:
+    return r3, pivot
+
+
+def as_eisenstein(z: CycloNum) -> tuple[int, int] | None:
+    """Integers (a, b) with z = a + b*w_3, or None if no such pair exists.
+
+    Lifts z into a field containing w_3.  Over the canonical basis the
+    pivot slot of w_3 fixes b and the constant slot then fixes a; both
+    must be integers, and z must equal a + b*w_3 in every other slot.
+    """
+    n = lcm(z.order, 3)
+    c = z.lift(n).canonical_coeffs()
+    r3, pivot = _w3_row(n)
+    cp = _as_int(c[pivot])
+    if cp is None:
         return None
-    return int(a), int(b)
+    b, rem = divmod(cp, r3[pivot])
+    if rem:
+        return None
+    a = _as_int(c[0] - b * r3[0])
+    if a is None or c[1:] != tuple(map(b.__mul__, r3[1:])):
+        return None
+    return a, b
 
 
 def poly_to_cyclo(p: Poly, order: int) -> tuple[CycloNum, ...]:

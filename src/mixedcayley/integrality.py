@@ -10,11 +10,12 @@ theorem and is surfaced loudly, never papered over.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .atoms import (
     AtomDecomposition,
@@ -191,16 +192,15 @@ def _subset_flags(
     simple: ExactSpectrum,
     skew: ExactSpectrum,
     adjacency: ExactSpectrum,
+    hs_values: Iterable[CycloNum],
 ) -> _SubsetFlags:
+    """Route verdicts for one set; ``hs_values`` yields simple + skew per character."""
     g = cs.group
     sym_ok = in_boolean_algebra(g, cs.sym_part) is not None
     skew_ok = in_skew_family(g, cs.skew_part) is not None
     sym_integral = all(as_integer(v) is not None for v in simple.entries.values())
     skew_integral = all(as_integer(v) is not None for v in skew.entries.values())
-    hs_spectral = all(
-        as_integer(simple.entries[a] + skew.entries[a]) is not None
-        for a in g.elements
-    )
+    hs_spectral = all(as_integer(v) is not None for v in hs_values)
     eis = all(as_eisenstein(v) is not None for v in adjacency.entries.values())
     return _SubsetFlags(
         hs_char=sym_ok and skew_ok,
@@ -223,7 +223,7 @@ def classify(group: GroupSpec, members) -> ClassificationReport:
             a: simple.entries[a] + skew.entries[a] for a in group.elements
         },
     )
-    flags = _subset_flags(cs, simple, skew, adjacency)
+    flags = _subset_flags(cs, simple, skew, adjacency, hs.entries.values())
     return ClassificationReport(
         group=group,
         connection_set=cs,
@@ -333,12 +333,12 @@ def _check_masks(
     for mask in masks:
         members = _subset_from_mask(nonzero, mask)
         cs = make_connection_set(group, members)
-        flags = _subset_flags(
-            cs,
-            exact_spectrum(cs, "simple_part"),
-            exact_spectrum(cs, "skew_part"),
-            exact_spectrum(cs, "adjacency"),
-        )
+        simple = exact_spectrum(cs, "simple_part")
+        skew = exact_spectrum(cs, "skew_part")
+        adjacency = exact_spectrum(cs, "adjacency")
+        # a generator, so the sum stops at the first non-integral character
+        hs_values = (simple.entries[a] + skew.entries[a] for a in group.elements)
+        flags = _subset_flags(cs, simple, skew, adjacency, hs_values)
         if flags.hs_spectral:
             hs_count += 1
         if not (flags.consistent() and flags.split_consistent()):
@@ -391,7 +391,8 @@ def verify_theorems(
     spectral, and HS spectral == (symmetric part integral and skew part
     HS-integral).  On top of the sweep, every certificate identity is
     checked once per group.  Exhaustive when 2^(n-1) fits in the budget,
-    otherwise a seeded uniform sample of ``budget`` subsets.
+    otherwise a seeded uniform sample of ``budget`` subsets.  ``jobs`` worker
+    processes share the sweep, at most ``os.cpu_count()`` of them.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"verification budget must be >= 1, got {budget}")
@@ -412,6 +413,8 @@ def verify_theorems(
                 seen.add(m)
                 masks.append(m)
 
+    # the pool starts all its workers at once, so never ask for more than the CPUs
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and len(masks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

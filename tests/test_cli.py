@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedcayley import make_group, parse_group
 from mixedcayley.cli import (
     SetSpecError,
+    _dump_json,
     classification_to_json,
     cyclo_to_json,
     format_set,
     parse_set,
     run,
 )
-from mixedcayley.cyclo import root
+from mixedcayley.cyclo import CycloNum, root
 from mixedcayley.integrality import classify
 
 
@@ -84,6 +89,13 @@ def test_cyclo_json_format():
     assert payload["order"] == 3
     assert payload["coeffs"] == ["0", "1"]
     assert payload["approx"] == "-0.500000000000+0.866025403784i"
+
+
+def test_cyclo_json_writes_fractions_as_p_over_q():
+    payload = cyclo_to_json(CycloNum(3, (Fraction(1, 2), Fraction(-4, 2), 0)))
+    assert payload["coeffs"] == ["1/2", "-2"]
+    payload = cyclo_to_json(CycloNum(2, (Fraction(-7, 3), 0)))
+    assert payload["coeffs"] == ["-7/3"]
 
 
 def test_classification_json_schema():
@@ -248,3 +260,108 @@ def test_cli_exit_2_on_inconsistency(monkeypatch):
     code, out, _ = run_cli("classify", "--group", "4", "--set", "2")
     assert code == 2
     assert json.loads(out)["consistent"] is False
+
+
+def test_verify_jobs_clamped_to_cpu_count(monkeypatch):
+    import concurrent.futures
+    import os
+
+    created = []
+
+    class RecordingExecutor:
+        """Runs the chunks in this process and records the pool size asked for."""
+
+        def __init__(self, max_workers=None):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    _, serial, _ = run_cli("verify", "--group", "9")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, out, _ = run_cli("verify", "--group", "9", "--jobs", "5000")
+    assert code == 0 and out == serial
+    code, out, _ = run_cli("verify", "--group", "9", "--jobs", "2")
+    assert code == 0 and out == serial
+    assert created == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
+    code, out, _ = run_cli("verify", "--group", "9", "--jobs", "5000")
+    assert code == 0 and out == serial
+    assert created == [3, 2]
+
+
+# sha256 of stdout for commands covering every JSON writer and both
+# spectrum formats; output is byte-stable, so any changed byte fails here
+GOLDEN_STDOUT = [
+    (("classify", "--group", "243", "--set", "35,47,125,208"),
+     "fec1b2faca9915e7689b21a8b2f0e199d69b0479a31c48951b7a1dcc91a14dc8"),
+    (("classify", "--group", "256", "--set", "22,60,69,96,162,187,196,200"),
+     "2c12c4098ac58e83fe3b019cf2a80406258c6a20ac185f58ebe8c74eabd8eae8"),
+    (("classify", "--group", "251", "--set", "8,46,146,243,245"),
+     "9b23125619cb856361e18dbead3f9d8bdffc5a4cf4389878093cbc552db23fb1"),
+    (("classify", "--group", "3x3", "--set", "(0,1),(2,0)"),
+     "502810106bafb2a4a5cf066238676c6f7d50e32f9d215f78a8a8ff714c3070ee"),
+    (("classify", "--group", "3x3", "--set", "(0,1),(1,0),(2,0)"),
+     "628b1a21357919bba1253ba0fc22e36fcd95bef1e6fc3c44dc033096368c05d9"),
+    (("spectrum", "--group", "3x3", "--set", "(0,1),(1,0),(2,0)", "--kind", "adjacency"),
+     "820b2b88dddf5eeaf3b09b6af2bf5901bb93183764d3de7fe59a72b40fac23e4"),
+    (("classify", "--group", "36", "--set", "6,10,16,26,27,29"),
+     "00abfabe82e2576720b8930bf1862c5e5e5966913ffa5670dcb81d2e06454a24"),
+    (("classify", "--group", "2x2x9", "--set", "(0,0,1),(0,0,8),(1,0,3),(0,1,6),(1,1,2)"),
+     "4395fb35c7fd158aa7272433304ca06b6f3e6d7a63679439107be3c41cace653"),
+    (("spectrum", "--group", "1024", "--set", "180,329,450,574,676,764,844,910"),
+     "8dae6d3b7e06a4e6524b8198f719054cebfbc845cfde8c1a6b371814ecb22ea8"),
+    (("spectrum", "--group", "1024", "--set", "180,329,450,574,676,764,844,910",
+      "--format", "text"),
+     "ae380c2da56e675acd1935c18630d8d46c1440354d0490a8858a4c71437b53df"),
+    (("verify", "--group", "2x6"),
+     "4d56d93f64247a9d5312066386eace9aab0d4ca6142286edf9f1ac281ca1ac50"),
+    (("atoms", "--group", "12"),
+     "7efbc56c082ecc8ff673ac7965b84e6991b7b593cb48a47a6dfcfba99dcea7b5"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_STDOUT, ids=[" ".join(a[:3]) for a, _ in GOLDEN_STDOUT]
+)
+def test_cli_stdout_matches_golden_digest(argv, digest):
+    code, out, err = run_cli(*argv)
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+json_text = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+        st.characters(),
+    ),
+    max_size=12,
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | json_text,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+@settings(max_examples=300, deadline=None)
+def test_dump_json_matches_json_dumps_indent_2(value):
+    assert _dump_json(value) == json.dumps(value, indent=2)
+
+
+def test_dump_json_edge_cases():
+    for value in ([], {}, (), [[]], {"a": {}}, ["x", 1], [True, False, None], -(2**100)):
+        assert _dump_json(value) == json.dumps(value, indent=2)
+    for bad in (1.5, {1: "a"}, {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            _dump_json(bad)

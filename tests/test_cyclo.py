@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import random
 from fractions import Fraction
-from math import tau
+from math import lcm, tau
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +259,66 @@ def test_numerical_consistency_of_reduction():
             c * cmath.exp(1j * tau * j / order) for j, c in enumerate(coeffs)
         )
         assert abs(direct - z.reduce().to_complex()) < 1e-9
+
+
+def reference_as_eisenstein(z):
+    """Fraction-only solve: b from the pivot slot of w_3, a from slot 0."""
+    n = lcm(z.order, 3)
+    c = [Fraction(v) for v in z.lift(n).canonical_coeffs()]
+    r3 = [Fraction(v) for v in root(n, n // 3).canonical_coeffs()]
+    pivot = next(k for k in range(1, len(r3)) if r3[k] != 0)
+    b = c[pivot] / r3[pivot]
+    a = c[0] - b * r3[0]
+    if any(c[k] != b * r3[k] + (a if k == 0 else 0) for k in range(len(c))):
+        return None
+    if a.denominator != 1 or b.denominator != 1:
+        return None
+    return int(a), int(b)
+
+
+rationals = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(max_denominator=6).filter(lambda f: abs(f) <= 50),
+)
+
+
+@st.composite
+def eisenstein_candidates(draw):
+    """a + b*w_3 in a random field, unreduced, sometimes off by one coefficient."""
+    order = 3 * draw(st.integers(1, 12))
+    z = (draw(rationals) + draw(rationals) * root(3, 1)).lift(order)
+    # sum_j w^j = 0 for order > 1, so this keeps the value and breaks canonical form
+    z = z + draw(st.integers(-3, 3)) * CycloNum(order, (1,) * order)
+    if draw(st.booleans()):
+        slot = draw(st.integers(0, order - 1))
+        delta = draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+        z = z + root(order, slot) * delta
+    return z
+
+
+@given(st.one_of(eisenstein_candidates(), cyclo_numbers()))
+@settings(max_examples=300, deadline=None)
+def test_as_eisenstein_matches_fraction_reference(z):
+    assert as_eisenstein(z) == reference_as_eisenstein(z)
+
+
+def test_as_eisenstein_fraction_coefficients():
+    w3 = root(3, 1)
+    assert as_eisenstein(Fraction(1, 2) + w3) is None
+    assert as_eisenstein(2 + w3 * Fraction(1, 2)) is None
+    assert as_eisenstein((3 + 2 * w3) * Fraction(4, 2)) == (6, 4)
+    assert as_eisenstein(CycloNum(6, (Fraction(5, 5), 0, 0, 0, 0, 0))) == (1, 0)
+
+
+@given(cyclo_numbers())
+def test_to_complex_sums_the_same_terms_in_the_same_order(z):
+    z = z * Fraction(1, 3) + root(z.order, 0)
+    n = z.order
+    direct = sum(
+        (complex(c) * cmath.exp(1j * tau * j / n) for j, c in enumerate(z.coeffs) if c != 0),
+        complex(0),
+    )
+    assert z.to_complex() == direct  # bit-identical, not just close
 
 
 def test_mixed_order_lifting():
