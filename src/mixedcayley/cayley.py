@@ -107,45 +107,50 @@ def matrices_to_json(m: MixedGraphMatrices) -> dict:
     }
 
 
-def _root_counts(cs: ConnectionSet, alpha: Element, kind: str) -> list[int]:
-    """Multiplicity vector of w_N^e terms for one eigenvalue sum."""
-    g = cs.group
-    n = g.root_order
-    q6 = n // 6
+def character_sum(
+    group: GroupSpec, alpha: Element, terms: Iterable[tuple[Element, int]]
+) -> CycloNum:
+    """Exact sum of w_N^shift * psi_alpha(x) over the (x, shift) terms, N = root_order."""
+    n = group.root_order
     counts = [0] * n
+    for x, shift in terms:
+        counts[(shift + group.character_exponent(alpha, x)) % n] += 1
+    return reduce_root_counts(n, counts)
+
+
+def _terms(cs: ConnectionSet, kind: str) -> list[tuple[Element, int]]:
+    """(member, shift) terms of one spectrum: psi(s) for a symmetric member,
+    the arc pair w6*psi(s) + w6^5*psi(-s) for a skew one, all plain for adjacency."""
+    if kind == "adjacency":
+        return [(s, 0) for s in cs.members]
+    g = cs.group
+    q6 = g.root_order // 6
+    terms = []
     if kind in ("hs", "simple_part"):
-        for s in cs.sym_part:
-            counts[g.character_exponent(alpha, s)] += 1
+        terms += [(s, 0) for s in cs.sym_part]
     if kind in ("hs", "skew_part"):
         for s in cs.skew_part:
-            counts[(q6 + g.character_exponent(alpha, s)) % n] += 1
-            counts[(5 * q6 + g.character_exponent(alpha, g.neg(s))) % n] += 1
-    if kind == "adjacency":
-        for s in cs.members:
-            counts[g.character_exponent(alpha, s)] += 1
-    return counts
+            terms += [(s, q6), (g.neg(s), 5 * q6)]
+    return terms
 
 
 def hs_eigenvalue(cs: ConnectionSet, alpha: Element) -> CycloNum:
     """Exact HS eigenvalue: the symmetric-part character sum plus the
     sixth-root weighted skew-part sum."""
-    return reduce_root_counts(cs.group.root_order, _root_counts(cs, alpha, "hs"))
+    return character_sum(cs.group, alpha, _terms(cs, "hs"))
 
 
 def hs_eigenvalue_components(cs: ConnectionSet, alpha: Element) -> tuple[CycloNum, CycloNum]:
     """The (symmetric, skew) summands of the HS eigenvalue, separately."""
-    n = cs.group.root_order
     return (
-        reduce_root_counts(n, _root_counts(cs, alpha, "simple_part")),
-        reduce_root_counts(n, _root_counts(cs, alpha, "skew_part")),
+        character_sum(cs.group, alpha, _terms(cs, "simple_part")),
+        character_sum(cs.group, alpha, _terms(cs, "skew_part")),
     )
 
 
 def a_eigenvalue(cs: ConnectionSet, alpha: Element) -> CycloNum:
     """Exact (0,1)-adjacency eigenvalue: the plain character sum over S."""
-    return reduce_root_counts(
-        cs.group.root_order, _root_counts(cs, alpha, "adjacency")
-    )
+    return character_sum(cs.group, alpha, _terms(cs, "adjacency"))
 
 
 @dataclass(frozen=True)
@@ -158,19 +163,13 @@ class ExactSpectrum:
     def values(self) -> list[CycloNum]:
         return list(self.entries.values())
 
-    def complex_values(self) -> list[complex]:
-        return [z.to_complex() for z in self.entries.values()]
-
 
 def exact_spectrum(cs: ConnectionSet, kind: str = "hs") -> ExactSpectrum:
     """All eigenvalues of the requested matrix, indexed by alpha in lex order."""
     if kind not in SPECTRUM_KINDS:
         raise ValueError(f"unknown spectrum kind {kind!r}, expected one of {SPECTRUM_KINDS}")
-    n = cs.group.root_order
-    entries = {
-        alpha: reduce_root_counts(n, _root_counts(cs, alpha, kind))
-        for alpha in cs.group.elements
-    }
+    terms = _terms(cs, kind)
+    entries = {alpha: character_sum(cs.group, alpha, terms) for alpha in cs.group.elements}
     return ExactSpectrum(kind=kind, entries=entries)
 
 

@@ -239,7 +239,11 @@ def _dump_json(obj) -> str:
 
 def _emit(text: str, out_path: str | None, stream: IO[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(out_path, "w", encoding="utf-8")
+        except OSError as exc:  # an unwritable path is bad input, not a crash
+            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+        with fh:
             fh.write(text)
     else:
         stream.write(text)
@@ -424,7 +428,7 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
         return 1 if exc.code not in (0, None) else 0
     try:
         return _HANDLERS[args.command](args, stdout)
-    except (ValueError, SetSpecError) as exc:
+    except ValueError as exc:
         stderr.write(f"error: {exc}\n")
         return 1
     except ConsistencyError as exc:

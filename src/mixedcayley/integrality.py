@@ -28,10 +28,11 @@ from .atoms import (
 from .cayley import (
     ConnectionSet,
     ExactSpectrum,
+    character_sum,
     exact_spectrum,
     make_connection_set,
 )
-from .cyclo import CycloNum, as_eisenstein, as_integer, reduce_root_counts
+from .cyclo import CycloNum, as_eisenstein, as_integer, root
 from .groups import Element, GroupSpec, make_group
 
 _THIRD = Fraction(1, 3)
@@ -64,11 +65,7 @@ class CertificateValues:
 
 def atom_character_sum(group: GroupSpec, x: Element, alpha: Element) -> CycloNum:
     """Character sum over the atom of x (an adjacency eigenvalue of that atom)."""
-    n = group.root_order
-    counts = [0] * n
-    for s in atom_of(group, x):
-        counts[group.character_exponent(alpha, s)] += 1
-    return reduce_root_counts(n, counts)
+    return character_sum(group, alpha, [(s, 0) for s in atom_of(group, x)])
 
 
 def certificate(group: GroupSpec, x: Element, alpha: Element) -> CertificateValues:
@@ -82,22 +79,14 @@ def certificate(group: GroupSpec, x: Element, alpha: Element) -> CertificateValu
     if m % 3 != 0:
         raise ValueError(f"element {x} has order {m}, not divisible by 3")
     n = group.root_order
-    q6 = n // 6
-    hs_counts = [0] * n
-    imb_counts = [0] * n
-    for s in eclass_of(group, x):
-        es = group.character_exponent(alpha, s)
-        em = group.character_exponent(alpha, group.neg(s))
-        hs_counts[(q6 + es) % n] += 1
-        hs_counts[(5 * q6 + em) % n] += 1
-        # i*sqrt(3) = w6 - w6^5 applied to psi(s) - psi(-s)
-        imb_counts[(q6 + es) % n] += 1
-        imb_counts[(5 * q6 + es) % n] -= 1
-        imb_counts[(q6 + em) % n] -= 1
-        imb_counts[(5 * q6 + em) % n] += 1
-    hs_sum = reduce_root_counts(n, hs_counts)
-    imbalance = reduce_root_counts(n, imb_counts)
+    eclass = eclass_of(group, x)
+    forward = character_sum(group, alpha, [(s, 0) for s in eclass])
+    backward = character_sum(group, alpha, [(group.neg(s), 0) for s in eclass])
     atom_sum = atom_character_sum(group, x, alpha)
+    w6, w6_5 = root(n, n // 6), root(n, 5 * n // 6)
+    hs_sum = (w6 * forward + w6_5 * backward).reduce()
+    # i*sqrt(3) = w6 - w6^5 applied to psi(s) - psi(-s)
+    imbalance = ((w6 - w6_5) * (forward - backward)).reduce()
 
     z = as_integer(hs_sum)
     c = as_integer(atom_sum)
@@ -138,21 +127,12 @@ def eisenstein_components(cs: ConnectionSet, alpha: Element) -> tuple[CycloNum, 
     eigenvalue equals f + g + w3*(g(alpha) - g(-alpha)).
     """
     g = cs.group
-    n = g.root_order
-    q6 = n // 6
-    f_counts = [0] * n
-    g_counts = [0] * n
-    for s in cs.sym_part:
-        f_counts[g.character_exponent(alpha, s)] += 1
+    q6 = g.root_order // 6
+    f_val = character_sum(g, alpha, [(s, 0) for s in cs.sym_part])
+    g_terms = []
     for s in cs.skew_part:
-        es = g.character_exponent(alpha, s)
-        em = g.character_exponent(alpha, g.neg(s))
-        g_counts[es] += 1
-        g_counts[(5 * q6 + es) % n] += 1
-        g_counts[em] += 1
-        g_counts[(q6 + em) % n] += 1
-    f_val = reduce_root_counts(n, f_counts)
-    g_val = (reduce_root_counts(n, g_counts) * _THIRD).reduce()
+        g_terms += [(s, 0), (s, 5 * q6), (g.neg(s), 0), (g.neg(s), q6)]
+    g_val = (character_sum(g, alpha, g_terms) * _THIRD).reduce()
     return f_val, g_val
 
 

@@ -149,6 +149,25 @@ def test_component_split_and_symmetry():
                 assert gamma == gamma.conj()
 
 
+def test_per_alpha_helpers_match_exact_spectrum():
+    rng = random.Random(11)
+    for mods in ([3, 3], [12], [2, 6]):
+        g = make_group(mods)
+        nonzero = [x for x in g.elements if x != g.zero]
+        for _ in range(10):
+            cs = make_connection_set(g, [x for x in nonzero if rng.random() < 0.5])
+            spectra = {
+                kind: exact_spectrum(cs, kind).entries
+                for kind in ("hs", "adjacency", "simple_part", "skew_part")
+            }
+            for alpha in g.elements:
+                lam, mu = hs_eigenvalue_components(cs, alpha)
+                assert hs_eigenvalue(cs, alpha).coeffs == spectra["hs"][alpha].coeffs
+                assert a_eigenvalue(cs, alpha).coeffs == spectra["adjacency"][alpha].coeffs
+                assert lam.coeffs == spectra["simple_part"][alpha].coeffs
+                assert mu.coeffs == spectra["skew_part"][alpha].coeffs
+
+
 def test_spectrum_trace_is_zero():
     rng = random.Random(8)
     for mods in ([9], [2, 6]):

@@ -245,6 +245,30 @@ def test_cli_out_file(tmp_path):
     assert payload["hs_integral"] is True
 
 
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_cli_unwritable_out_exits_1(tmp_path, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        "classify", "--group", "4", "--set", "2", "--out", str(target)
+    )
+    assert code == 1
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not out
+
+
+def test_cli_write_error_on_stdout_is_not_bad_input():
+    class BrokenStream(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError("stdout closed")
+
+    with pytest.raises(BrokenPipeError):
+        run(
+            ["classify", "--group", "4", "--set", "2"],
+            stdout=BrokenStream(),
+            stderr=io.StringIO(),
+        )
+
+
 def test_cli_exit_2_on_inconsistency(monkeypatch):
     import dataclasses
 

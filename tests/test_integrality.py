@@ -8,8 +8,10 @@ from itertools import combinations
 import pytest
 
 from mixedcayley import (
+    CycloNum,
     as_integer,
     atom_character_sum,
+    atom_of,
     a_eigenvalue,
     certificate,
     classify,
@@ -102,6 +104,36 @@ def test_certificate_identity_and_parity_small():
                 assert 2 * z == c + t
                 assert t % 3 == 0
                 assert cert.parity_ok
+
+
+def test_certificate_matches_term_by_term_sums():
+    for mods in ([3, 3], [9], [12]):
+        g = make_group(mods)
+        n = g.root_order
+        q6 = n // 6
+
+        def psi(alpha, s, shift=0):
+            return root(n, shift + g.character_exponent(alpha, s))
+
+        for x in sorted(g.gamma3()):
+            eclass = sorted(eclass_of(g, x))
+            atom = sorted(atom_of(g, x))
+            for alpha in g.elements:
+                hs = imbalance = atom_sum = CycloNum.zero(n)
+                for s in eclass:
+                    t = g.neg(s)
+                    hs = hs + psi(alpha, s, q6) + psi(alpha, t, 5 * q6)
+                    imbalance = (
+                        imbalance
+                        + psi(alpha, s, q6) - psi(alpha, s, 5 * q6)
+                        - psi(alpha, t, q6) + psi(alpha, t, 5 * q6)
+                    )
+                for s in atom:
+                    atom_sum = atom_sum + psi(alpha, s)
+                cert = certificate(g, x, alpha)
+                assert cert.hs_sum == hs
+                assert cert.atom_sum == atom_sum
+                assert cert.imbalance == imbalance
 
 
 def test_classify_examples():
