@@ -10,13 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import IO
 
 from .atoms import AtomDecomposition, atom_partition, eclass_of
 from .cayley import ExactSpectrum, exact_spectrum, make_connection_set, to_dot
-from .cyclo import CycloNum, totient
+from .cyclo import CycloNum
 from .groups import Element, GroupSpec, parse_group
 from .integrality import (
     ClassificationReport,
@@ -141,16 +143,19 @@ def cyclo_to_json(z: CycloNum) -> dict:
     reduced = z.reduce()
     return {
         "order": z.order,
-        "coeffs": list(map(str, reduced.coeffs[: totient(z.order)])),
+        "coeffs": list(map(str, reduced.coeffs)),
         "approx": _approx_text(reduced),
     }
 
 
+def _spectrum_entries(spectrum: ExactSpectrum) -> Iterator[dict]:
+    """The JSON entries of a spectrum, made one alpha at a time."""
+    for alpha, value in spectrum.entries.items():
+        yield {"alpha": list(alpha), "value": cyclo_to_json(value)}
+
+
 def spectrum_to_json(spectrum: ExactSpectrum) -> list[dict]:
-    return [
-        {"alpha": list(alpha), "value": cyclo_to_json(value)}
-        for alpha, value in spectrum.entries.items()
-    ]
+    return list(_spectrum_entries(spectrum))
 
 
 def decomposition_to_json(dec: AtomDecomposition | None) -> list[dict] | None:
@@ -163,6 +168,11 @@ def decomposition_to_json(dec: AtomDecomposition | None) -> list[dict] | None:
 
 
 def classification_to_json(report: ClassificationReport) -> dict:
+    return _classification_json(report, spectrum_to_json)
+
+
+def _classification_json(report: ClassificationReport, entries) -> dict:
+    """The classify document; ``entries`` turns each spectrum into its JSON list."""
     g = report.group
     return {
         "group": g.spec_string(),
@@ -171,8 +181,8 @@ def classification_to_json(report: ClassificationReport) -> dict:
         "eisenstein_integral": report.eisenstein_verdict_spectral,
         "sym_atoms": decomposition_to_json(report.sym_decomposition),
         "skew_classes": decomposition_to_json(report.skew_decomposition),
-        "hs_spectrum": spectrum_to_json(report.hs_spectrum),
-        "a_spectrum": spectrum_to_json(report.a_spectrum),
+        "hs_spectrum": entries(report.hs_spectrum),
+        "a_spectrum": entries(report.a_spectrum),
         "consistent": report.consistency,
     }
 
@@ -187,7 +197,12 @@ def verification_to_json(report: VerificationReport) -> dict:
     }
 
 
-def _write_json(obj, out: list[str], newline: str) -> None:
+def _write_json(obj, out, newline: str) -> None:
+    """Append the indented JSON text of ``obj`` to ``out``, piece by piece.
+
+    ``out`` is anything with ``append``: a list, or a sink that streams.
+    An iterator is written as a list and consumed as it is written.
+    """
     if isinstance(obj, str):
         out.append(_quote(obj))
     elif obj is None:
@@ -211,20 +226,17 @@ def _write_json(obj, out: list[str], newline: str) -> None:
             _write_json(value, out, inner)
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
+    elif isinstance(obj, (list, tuple)) and obj and all(map(isinstance, obj, repeat(str))):
         inner = newline + "  "
-        if all(map(isinstance, obj, repeat(str))):
-            out.append("[" + inner + ("," + inner).join(map(_quote, obj)) + newline + "]")
-            return
-        sep = "[" + inner
+        out.append("[" + inner + ("," + inner).join(map(_quote, obj)) + newline + "]")
+    elif isinstance(obj, (list, tuple, Iterator)):
+        inner = newline + "  "
+        opening = sep = "[" + inner
         for value in obj:
             out.append(sep)
             _write_json(value, out, inner)
             sep = "," + inner
-        out.append(newline + "]")
+        out.append("[]" if sep is opening else newline + "]")
     else:
         raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
@@ -237,16 +249,55 @@ def _dump_json(obj) -> str:
     return "".join(out)
 
 
+_CHUNK = 1 << 16  # characters a streamed document collects between writes
+
+
+class _ChunkSink:
+    """A ``_write_json`` sink that passes its text to ``write`` in chunks."""
+
+    def __init__(self, write):
+        self._write = write
+        self._pieces: list[str] = []
+        self._size = 0
+
+    def append(self, piece: str) -> None:
+        self._pieces.append(piece)
+        self._size += len(piece)
+        if self._size >= _CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        self._write("".join(self._pieces))
+        self._pieces.clear()
+        self._size = 0
+
+
+@contextmanager
+def _opened(out_path: str | None, stream: IO[str]):
+    """The ``--out`` file opened for writing, or ``stream`` without one."""
+    if not out_path:
+        yield stream
+        return
+    try:
+        fh = open(out_path, "w", encoding="utf-8")
+    except OSError as exc:  # an unwritable path is bad input, not a crash
+        raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+    with fh:
+        yield fh
+
+
 def _emit(text: str, out_path: str | None, stream: IO[str]) -> None:
-    if out_path:
-        try:
-            fh = open(out_path, "w", encoding="utf-8")
-        except OSError as exc:  # an unwritable path is bad input, not a crash
-            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
-        with fh:
-            fh.write(text)
-    else:
-        stream.write(text)
+    with _opened(out_path, stream) as fh:
+        fh.write(text)
+
+
+def _emit_json(obj, out_path: str | None, stream: IO[str]) -> None:
+    """Write ``_dump_json(obj)`` and a newline, streamed in chunks as it is made."""
+    with _opened(out_path, stream) as fh:
+        sink = _ChunkSink(fh.write)
+        _write_json(obj, sink, "\n")
+        sink.append("\n")
+        sink.flush()
 
 
 def _classification_text(report: ClassificationReport) -> str:
@@ -272,7 +323,7 @@ def _run_classify(args, stdout: IO[str]) -> int:
     elif args.format == "text":
         _emit(_classification_text(report), args.out, stdout)
     else:
-        _emit(_dump_json(classification_to_json(report)) + "\n", args.out, stdout)
+        _emit_json(_classification_json(report, _spectrum_entries), args.out, stdout)
     return 0 if report.consistency else 2
 
 
@@ -292,9 +343,9 @@ def _run_spectrum(args, stdout: IO[str]) -> int:
             "group": group.spec_string(),
             "set": format_set(members, group),
             "kind": args.kind,
-            "entries": spectrum_to_json(spectrum),
+            "entries": _spectrum_entries(spectrum),
         }
-        _emit(_dump_json(payload) + "\n", args.out, stdout)
+        _emit_json(payload, args.out, stdout)
     return 0
 
 
@@ -327,7 +378,7 @@ def _run_atoms(args, stdout: IO[str]) -> int:
                 lines.append(f"  skew class <<{format_element(tuple(cls['rep']), group)}>> = {{{cmembers}}}")
         _emit("\n".join(lines) + "\n", args.out, stdout)
     else:
-        _emit(_dump_json(payload) + "\n", args.out, stdout)
+        _emit_json(payload, args.out, stdout)
     return 0
 
 
@@ -357,7 +408,7 @@ def _run_enumerate(args, stdout: IO[str]) -> int:
 def _run_verify(args, stdout: IO[str]) -> int:
     group = parse_group(args.group)
     report = verify_theorems(group, budget=args.budget, seed=args.seed, jobs=args.jobs)
-    _emit(_dump_json(verification_to_json(report)) + "\n", args.out, stdout)
+    _emit_json(verification_to_json(report), args.out, stdout)
     return 0 if not report.counterexamples else 2
 
 

@@ -1,8 +1,10 @@
 """Exact arithmetic in the cyclotomic field Q(w_N).
 
 A CycloNum holds exact rational coefficients over the power basis
-1, w, ..., w^{N-1}, where w = exp(2*pi*i/N).  Canonical forms are
-polynomial remainders modulo the N-th cyclotomic polynomial, so equality,
+1, w, ..., w^{N-1}, where w = exp(2*pi*i/N); the vector may stop early,
+and missing trailing slots are zero.  Canonical forms are polynomial
+remainders modulo the N-th cyclotomic polynomial and keep exactly
+totient(N) coefficients, so equality,
 integer membership and Eisenstein membership are coefficient inspections;
 no floating point ever enters a verdict.  Mixed-order operands are lifted
 to the lcm of their orders by scaling exponents.
@@ -167,7 +169,7 @@ def _reduce(order: int, coeffs) -> CycloNum:
         q, t = divmod(j, k)
         for i, d in rows[q]:
             out[i * k + t] += c * d
-    return CycloNum(order, tuple(out) + (0,) * (order - phi))
+    return CycloNum(order, tuple(out))
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +180,11 @@ def _unit_roots(order: int) -> tuple[complex, ...]:
 
 @dataclass(frozen=True, eq=False)
 class CycloNum:
-    """An exact element of Q(w_N): value = sum_j coeffs[j] * w_N^j."""
+    """An exact element of Q(w_N): value = sum_j coeffs[j] * w_N^j.
+
+    ``coeffs`` has at most N entries; slots past its end are zero.  A
+    reduced value has exactly totient(N) of them.
+    """
 
     order: int
     coeffs: tuple[Rational, ...]
@@ -186,18 +192,18 @@ class CycloNum:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"cyclotomic order must be >= 1, got {self.order}")
-        if len(self.coeffs) != self.order:
+        if len(self.coeffs) > self.order:
             raise ValueError(
-                f"coefficient vector has length {len(self.coeffs)}, expected {self.order}"
+                f"coefficient vector has length {len(self.coeffs)}, more than {self.order}"
             )
 
     @staticmethod
     def zero(order: int = 1) -> CycloNum:
-        return CycloNum(order, (0,) * order)
+        return CycloNum(order, ())
 
     @staticmethod
     def from_rational(value: Rational, order: int = 1) -> CycloNum:
-        return CycloNum(order, (value,) + (0,) * (order - 1))
+        return CycloNum(order, (value,))
 
     def lift(self, order: int) -> CycloNum:
         """Re-express in a larger field; the target order must be a multiple."""
@@ -206,10 +212,8 @@ class CycloNum:
         if order % self.order != 0:
             raise ValueError(f"cannot lift order {self.order} to {order}")
         step = order // self.order
-        out: list[Rational] = [0] * order
-        for j, c in enumerate(self.coeffs):
-            if c != 0:
-                out[j * step] = c
+        out: list[Rational] = [0] * ((len(self.coeffs) - 1) * step + 1)  # [] when empty
+        out[::step] = self.coeffs
         return CycloNum(order, tuple(out))
 
     def _common(self, other: CycloNum) -> tuple[CycloNum, CycloNum]:
@@ -220,7 +224,10 @@ class CycloNum:
         if not isinstance(other, CycloNum):
             other = CycloNum.from_rational(other)
         a, b = self._common(other)
-        return CycloNum(a.order, tuple(map(operator.add, a.coeffs, b.coeffs)))
+        x, y = a.coeffs, b.coeffs
+        if len(x) < len(y):
+            x, y = y, x
+        return CycloNum(a.order, tuple(map(operator.add, x, y)) + x[len(y):])
 
     __radd__ = __add__
 
@@ -238,7 +245,7 @@ class CycloNum:
             return CycloNum(self.order, tuple(c * other for c in self.coeffs))
         a, b = self._common(other)
         n = a.order
-        out: list[Rational] = [0] * n
+        out: list[Rational] = [0] * min(n, len(a.coeffs) + len(b.coeffs) - 1)
         for i, c in enumerate(a.coeffs):
             if c == 0:
                 continue
@@ -259,17 +266,21 @@ class CycloNum:
         return CycloNum(n, tuple(out))
 
     def reduce(self) -> CycloNum:
-        """Canonical form: remainder modulo Phi_N, support below totient(N)."""
-        if not any(self.coeffs[totient(self.order):]):
+        """Canonical form: the remainder modulo Phi_N, totient(N) coefficients."""
+        phi = totient(self.order)
+        cs = self.coeffs
+        if len(cs) == phi:
             return self
-        return _reduce(self.order, self.coeffs)
+        if any(cs[phi:]):
+            return _reduce(self.order, cs)
+        return CycloNum(self.order, cs[:phi] + (0,) * (phi - len(cs)))
 
     def canonical_coeffs(self) -> tuple[Rational, ...]:
-        """The first totient(N) coefficients of the reduced form."""
-        return self.reduce().coeffs[: totient(self.order)]
+        """The totient(N) coefficients of the reduced form."""
+        return self.reduce().coeffs
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.canonical_coeffs())
+        return not any(self.canonical_coeffs())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -283,7 +294,7 @@ class CycloNum:
         roots = _unit_roots(self.order)
         cs = self.coeffs
         return sum(
-            [complex(cs[j]) * roots[j] for j in compress(range(self.order), cs)],
+            [complex(cs[j]) * roots[j] for j in compress(range(len(cs)), cs)],
             complex(0),
         )
 
@@ -301,9 +312,7 @@ def root(order: int, j: int) -> CycloNum:
     """The root of unity w_order^j."""
     if order < 1:
         raise ValueError(f"root order must be >= 1, got {order}")
-    out = [0] * order
-    out[j % order] = 1
-    return CycloNum(order, tuple(out))
+    return CycloNum(order, (0,) * (j % order) + (1,))
 
 
 def reduce_root_counts(order: int, counts) -> CycloNum:

@@ -6,15 +6,18 @@ import hashlib
 import io
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedcayley import make_group, parse_group
+import mixedcayley.cli as cli_mod
 from mixedcayley.cli import (
     SetSpecError,
     _dump_json,
+    _emit_json,
     classification_to_json,
     cyclo_to_json,
     format_set,
@@ -389,3 +392,58 @@ def test_dump_json_edge_cases():
     for bad in (1.5, {1: "a"}, {"a": {1, 2}}):
         with pytest.raises(TypeError):
             _dump_json(bad)
+
+
+# -- streamed JSON: classify and spectrum write one alpha entry at a time
+
+STREAMED = [
+    ("classify", "--group", "251", "--set", "8,46,146,243,245"),
+    ("spectrum", "--group", "251", "--set", "8,46,146,243,245", "--kind", "adjacency"),
+    ("classify", "--group", "2x2x9", "--set", "(0,0,1),(0,0,8),(1,0,3),(0,1,6),(1,1,2)"),
+    ("spectrum", "--group", "2x2x9", "--set", "(0,0,1),(0,0,8),(1,0,3),(0,1,6),(1,1,2)"),
+]
+
+
+@pytest.mark.parametrize("argv", STREAMED, ids=[" ".join(a[:3]) for a in STREAMED])
+def test_out_file_gets_the_same_bytes_as_stdout(argv, tmp_path):
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(*argv)
+    assert code == 0 and not err
+    code, empty, err = run_cli(*argv, "--out", str(target))
+    assert code == 0 and not empty and not err
+    assert target.read_bytes() == out.encode()
+
+
+def test_classify_json_reaches_the_stream_in_several_writes():
+    class RecordingStream:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    argv, digest = GOLDEN_STDOUT[0]
+    assert argv[:3] == ("classify", "--group", "243")
+    stream = RecordingStream()
+    assert run(list(argv), stdout=stream, stderr=io.StringIO()) == 0
+    assert len(stream.writes) > 1
+    assert hashlib.sha256("".join(stream.writes).encode()).hexdigest() == digest
+
+
+def _lazy(value):
+    """The same JSON value with every list turned into a one-shot iterator."""
+    if isinstance(value, dict):
+        return {k: _lazy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return iter([_lazy(v) for v in value])
+    return value
+
+
+@given(json_values, st.sampled_from([1, 7, 1 << 16]))
+@settings(max_examples=200, deadline=None)
+def test_streamed_json_matches_dump_json(value, chunk):
+    with mock.patch.object(cli_mod, "_CHUNK", chunk):
+        for payload in (value, _lazy(value)):
+            out = io.StringIO()
+            _emit_json(payload, None, out)
+            assert out.getvalue() == _dump_json(value) + "\n"

@@ -127,8 +127,9 @@ def test_reduce_large_orders_against_division_oracle(order):
         for j in rng.sample(range(order), 8):
             counts[j] = rng.randint(-10, 10)
         _, r = oracle_divmod(counts, modulus)
-        expected = tuple(r) + (0,) * (order - len(r))
+        expected = tuple(r) + (0,) * (totient(order) - len(r))
         z = reduce_root_counts(order, counts)
+        assert len(z.coeffs) == totient(order)
         assert z.coeffs == expected
         third = CycloNum(order, tuple(Fraction(c, 3) for c in counts)).reduce()
         assert third.coeffs == tuple(c / 3 for c in expected)
@@ -327,3 +328,67 @@ def test_mixed_order_lifting():
     z = root(4, 1) + root(6, 1)
     assert z.order == 12
     assert as_integer(root(4, 1) * root(4, 3)) == 1
+
+
+# -- compact layout: a value with its trailing zeros cut must behave exactly
+# like the same value padded to length N
+
+COMPACT_ORDERS = list(range(1, 37)) + [486, 1506]
+
+
+def _trimmed(coeffs):
+    end = max((j + 1 for j, c in enumerate(coeffs) if c), default=0)
+    return coeffs[:end]
+
+
+@st.composite
+def twin_pairs(draw):
+    """Two values, each as (trimmed, padded); the second order divides the first."""
+    order = draw(st.sampled_from(COMPACT_ORDERS))
+    twins = []
+    for n in (order, draw(st.sampled_from([d for d in range(1, order + 1) if order % d == 0]))):
+        coeffs = [0] * n
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True)):
+            coeffs[j] = draw(rationals)
+        padded = CycloNum(n, tuple(coeffs))
+        twins.append((CycloNum(n, _trimmed(padded.coeffs)), padded))
+    return twins
+
+
+def _same(u, v):
+    """Equal canonical forms of totient(N) coefficients, and bit-identical
+    floats: the twins hold the same terms, so they sum them in the same order."""
+    assert u.order == v.order
+    phi = totient(u.order)
+    assert len(u.reduce().coeffs) == len(v.reduce().coeffs) == phi
+    assert u.canonical_coeffs() == v.canonical_coeffs()
+    assert u.reduce().coeffs == v.reduce().coeffs
+    assert u.to_complex() == v.to_complex()
+
+
+@given(twin_pairs())
+@settings(max_examples=200, deadline=None)
+def test_compact_and_padded_values_agree(twins):
+    (a, a_pad), (b, b_pad) = twins
+    _same(a, a_pad)
+    reduced = a.reduce()
+    assert reduced.reduce() is reduced
+    for x, y in ((a, b), (a, b_pad), (a_pad, b)):
+        _same(x + y, a_pad + b_pad)
+        _same(x - y, a_pad - b_pad)
+        _same(x * y, a_pad * b_pad)
+        assert (x == y) == (a_pad == b_pad)
+    _same(a.conj(), a_pad.conj())
+    _same(b.lift(a.order), b_pad.lift(a.order))
+    _same(a.lift(2 * a.order), a_pad.lift(2 * a.order))
+    assert a == a_pad and a.reduce() == a_pad
+    assert a.is_zero() == a_pad.is_zero()
+    assert as_integer(a) == as_integer(a_pad)
+    assert as_eisenstein(a) == as_eisenstein(a_pad)
+
+
+def test_coefficient_vector_longer_than_order_is_rejected():
+    with pytest.raises(ValueError):
+        CycloNum(3, (1, 0, 0, 0))
+    assert CycloNum(3, ()).is_zero()
+    assert CycloNum(3, (5,)).reduce().coeffs == (5, 0)
