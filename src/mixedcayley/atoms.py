@@ -11,6 +11,7 @@ the kind whose weighted character sums stay integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .groups import Element, GroupSpec
@@ -46,20 +47,47 @@ def divisors_mod3(g: int, r: int) -> frozenset[int]:
     return frozenset(k for k in divisors_not3(g) if k % 3 == r)
 
 
+@lru_cache(maxsize=None)
+def _class_index(
+    group: GroupSpec,
+) -> tuple[dict[Element, frozenset[Element]], dict[Element, frozenset[Element]]]:
+    """Maps element -> atom and, where 3 divides its order, element -> skew class.
+
+    Each class is built once and shared by all of its members.
+    """
+    atoms: dict[Element, frozenset[Element]] = {group.zero: frozenset({group.zero})}
+    eclasses: dict[Element, frozenset[Element]] = {}
+    for x in group.elements:
+        if x in atoms:
+            continue
+        m = group.order_of(x)
+        atom = frozenset(group.scale(k, x) for k in g_units(m))
+        atoms.update(dict.fromkeys(atom, atom))
+        if m % 3 == 0:
+            # k*x for k = 1 mod 3 is x's class; k = 2 mod 3 gives the class of -x
+            for r in (1, 2):
+                cls = frozenset(group.scale(k, x) for k in g_units_mod3(m, r))
+                eclasses.update(dict.fromkeys(cls, cls))
+    return atoms, eclasses
+
+
 def atom_of(group: GroupSpec, x: Element) -> frozenset[Element]:
-    """Generators of <x>: the multiples k*x with k a unit mod ord(x)."""
-    if x == group.zero:
-        return frozenset({x})
-    m = group.order_of(x)
-    return frozenset(group.scale(k, x) for k in g_units(m))
+    """Generators of <x>: the multiples k*x with k a unit mod ord(x).
+
+    ``x`` must be a reduced element of the group.
+    """
+    return _class_index(group)[0][x]
 
 
 def eclass_of(group: GroupSpec, x: Element) -> frozenset[Element]:
-    """The skew class {k*x : gcd(k, ord(x)) = 1, k = 1 mod 3}."""
-    m = group.order_of(x)
-    if m % 3 != 0:
-        raise ValueError(f"element {x} has order {m}, not divisible by 3")
-    return frozenset(group.scale(k, x) for k in g_units_mod3(m, 1))
+    """The skew class {k*x : gcd(k, ord(x)) = 1, k = 1 mod 3}.
+
+    ``x`` must be a reduced element of the group.
+    """
+    cls = _class_index(group)[1].get(x)
+    if cls is None:
+        raise ValueError(f"element {x} has order {group.order_of(x)}, not divisible by 3")
+    return cls
 
 
 def atom_partition(group: GroupSpec) -> list[frozenset[Element]]:
@@ -115,7 +143,7 @@ def _decompose(members, pieces_of, kind: str) -> AtomDecomposition | None:
 
 def in_boolean_algebra(group: GroupSpec, members) -> AtomDecomposition | None:
     """Decompose a set into whole atoms, or None if some atom is cut."""
-    return _decompose(members, lambda x: atom_of(group, x), "boolean_atoms")
+    return _decompose(members, _class_index(group)[0].__getitem__, "boolean_atoms")
 
 
 def in_skew_family(group: GroupSpec, members) -> AtomDecomposition | None:
@@ -128,9 +156,10 @@ def in_skew_family(group: GroupSpec, members) -> AtomDecomposition | None:
     members = frozenset(members)
     if not members:
         return AtomDecomposition(kind="skew_classes", representatives=(), classes=())
+    eclasses = _class_index(group)[1]
     for x in members:
-        if group.order_of(x) % 3 != 0:
+        if x not in eclasses:
             return None
         if group.neg(x) in members:
             return None
-    return _decompose(members, lambda x: eclass_of(group, x), "skew_classes")
+    return _decompose(members, eclasses.__getitem__, "skew_classes")

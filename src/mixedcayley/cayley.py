@@ -112,9 +112,10 @@ def character_sum(
 ) -> CycloNum:
     """Exact sum of w_N^shift * psi_alpha(x) over the (x, shift) terms, N = root_order."""
     n = group.root_order
+    exponent = group.character_exponent  # looked up per call, so tracing still sees every call
     counts = [0] * n
     for x, shift in terms:
-        counts[(shift + group.character_exponent(alpha, x)) % n] += 1
+        counts[(shift + exponent(alpha, x)) % n] += 1
     return reduce_root_counts(n, counts)
 
 

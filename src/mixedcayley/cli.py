@@ -333,11 +333,9 @@ def _run_spectrum(args, stdout: IO[str]) -> int:
     cs = make_connection_set(group, members)
     spectrum = exact_spectrum(cs, args.kind)
     if args.format == "text":
-        lines = [
-            f"{format_element(alpha, group)}  {_approx_text(value.reduce())}"
-            for alpha, value in spectrum.entries.items()
-        ]
-        _emit("\n".join(lines) + "\n", args.out, stdout)
+        with _opened(args.out, stdout) as fh:
+            for alpha, value in spectrum.entries.items():
+                fh.write(f"{format_element(alpha, group)}  {_approx_text(value.reduce())}\n")
     else:
         payload = {
             "group": group.spec_string(),
@@ -385,23 +383,19 @@ def _run_atoms(args, stdout: IO[str]) -> int:
 def _run_enumerate(args, stdout: IO[str]) -> int:
     group = parse_group(args.group)
     stream = enumerate_hs_integral(group, budget=args.budget)
-    lines = []
     emitted = 0
-    for cs in stream.sets:
-        payload = {
-            "spec": format_set(cs.members, group),
-            "members": [list(x) for x in sorted(cs.members)],
-        }
-        lines.append(json.dumps(payload, separators=(",", ":")))
-        emitted += 1
-    if stream.truncated:
-        lines.append(
-            json.dumps(
-                {"truncated": True, "emitted": emitted, "total": stream.total},
-                separators=(",", ":"),
-            )
-        )
-    _emit("\n".join(lines) + "\n", args.out, stdout)
+    # the empty set is always HS-integral, so at least one line is written
+    with _opened(args.out, stdout) as fh:
+        for cs in stream.sets:
+            payload = {
+                "spec": format_set(cs.members, group),
+                "members": [list(x) for x in sorted(cs.members)],
+            }
+            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
+            emitted += 1
+        if stream.truncated:
+            marker = {"truncated": True, "emitted": emitted, "total": stream.total}
+            fh.write(json.dumps(marker, separators=(",", ":")) + "\n")
     return 0
 
 

@@ -151,20 +151,28 @@ def _power_rows(r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _reduction_plan(order: int) -> tuple[int, tuple, int]:
+    """(k, power rows of r, totient(order)) with r = rad(order) and k = order / r."""
+    r = _radical(order)
+    return order // r, _power_rows(r), totient(order)
+
+
 def _reduce(order: int, coeffs) -> CycloNum:
     """Canonical form of sum_j coeffs[j] * w_order^j.
 
     With r = rad(order) and k = order / r, Phi_order(x) = Phi_r(x^k), so
     x^(q*k + t) reduces to row q of the r-th power table with every
     exponent i moved to i*k + t.  Those land below totient(r) * k =
-    totient(order), which is already canonical.
+    totient(order), which is already canonical.  Row q < totient(r) is
+    y^q itself, so an exponent j < totient(order) is its own slot.
     """
-    r = _radical(order)
-    k = order // r
-    rows = _power_rows(r)
-    phi = totient(order)
+    k, rows, phi = _reduction_plan(order)
     out: list[Rational] = [0] * phi
     for j in compress(range(len(coeffs)), coeffs):
+        if j < phi:
+            out[j] += coeffs[j]
+            continue
         c = coeffs[j]
         q, t = divmod(j, k)
         for i, d in rows[q]:

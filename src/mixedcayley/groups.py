@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import mul
 
 Element = tuple[int, ...]
 
@@ -90,16 +91,18 @@ class GroupSpec:
             raise ValueError(f"element {x} has order {m}, not divisible by 3")
         return frozenset(self.scale(k, x) for k in range(1, m + 1) if k % 3 == r)
 
+    @cached_property
+    def _lift(self) -> tuple[int, ...]:
+        """The factors N/n_j that lift each coordinate's root to order N."""
+        return tuple(self.root_order // n for n in self.moduli)
+
     def character_exponent(self, alpha: Element, x: Element) -> int:
         """Exponent e with psi_alpha(x) = w_N^e, N = root_order.
 
         The character value is prod_j w_{n_j}^{alpha_j x_j}; each factor is
         lifted to order N by scaling its exponent by N/n_j.
         """
-        N = self.root_order
-        return sum(
-            (N // n) * a * c for a, c, n in zip(alpha, x, self.moduli)
-        ) % N
+        return sum(map(mul, map(mul, alpha, x), self._lift)) % self.root_order
 
     def spec_string(self) -> str:
         return "x".join(str(n) for n in self.moduli)

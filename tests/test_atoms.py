@@ -89,6 +89,20 @@ def test_eclass_examples():
         eclass_of(make_group([4]), (1,))
 
 
+def test_atom_and_eclass_match_generator_sets():
+    for mods in ([1], [2], [12], [36], [3, 3], [2, 6], [3, 3, 3]):
+        g = make_group(mods)
+        for x in g.elements:
+            m = g.order_of(x)
+            units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
+            assert atom_of(g, x) == frozenset(g.scale(k, x) for k in units)
+            if m % 3 == 0:
+                assert eclass_of(g, x) == frozenset(g.scale(k, x) for k in units if k % 3 == 1)
+            else:  # the identity included
+                with pytest.raises(ValueError, match="not divisible by 3"):
+                    eclass_of(g, x)
+
+
 def test_atoms_partition_group():
     for mods in ([12], [9], [2, 6], [3, 3], [2, 2, 2]):
         g = make_group(mods)

@@ -352,6 +352,10 @@ GOLDEN_STDOUT = [
      "4d56d93f64247a9d5312066386eace9aab0d4ca6142286edf9f1ac281ca1ac50"),
     (("atoms", "--group", "12"),
      "7efbc56c082ecc8ff673ac7965b84e6991b7b593cb48a47a6dfcfba99dcea7b5"),
+    (("enumerate", "--group", "2x2x2x2", "--budget", "50"),
+     "7507c14aa2ac8159cb60df75033243721deb5e7e47134e65910224a0df90ce96"),
+    (("enumerate", "--group", "2x2x2x2", "--budget", "0"),
+     "c28e9b6892b9fbc0d1a38ea5425ea09584a6ce324c413c32bb920d017c41a918"),
 ]
 
 
@@ -394,13 +398,17 @@ def test_dump_json_edge_cases():
             _dump_json(bad)
 
 
-# -- streamed JSON: classify and spectrum write one alpha entry at a time
+# -- streamed output: classify and spectrum write one alpha entry at a
+# time, spectrum text one line per alpha, enumerate one line per set
 
 STREAMED = [
     ("classify", "--group", "251", "--set", "8,46,146,243,245"),
     ("spectrum", "--group", "251", "--set", "8,46,146,243,245", "--kind", "adjacency"),
     ("classify", "--group", "2x2x9", "--set", "(0,0,1),(0,0,8),(1,0,3),(0,1,6),(1,1,2)"),
     ("spectrum", "--group", "2x2x9", "--set", "(0,0,1),(0,0,8),(1,0,3),(0,1,6),(1,1,2)"),
+    ("spectrum", "--group", "251", "--set", "8,46,146,243,245", "--format", "text"),
+    ("enumerate", "--group", "2x2x2x2", "--budget", "50"),
+    ("enumerate", "--group", "2x2x2x2", "--budget", "0"),
 ]
 
 
@@ -414,16 +422,33 @@ def test_out_file_gets_the_same_bytes_as_stdout(argv, tmp_path):
     assert target.read_bytes() == out.encode()
 
 
+class RecordingStream:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
 def test_classify_json_reaches_the_stream_in_several_writes():
-    class RecordingStream:
-        def __init__(self):
-            self.writes = []
-
-        def write(self, text):
-            self.writes.append(text)
-
     argv, digest = GOLDEN_STDOUT[0]
     assert argv[:3] == ("classify", "--group", "243")
+    stream = RecordingStream()
+    assert run(list(argv), stdout=stream, stderr=io.StringIO()) == 0
+    assert len(stream.writes) > 1
+    assert hashlib.sha256("".join(stream.writes).encode()).hexdigest() == digest
+
+
+LINE_STREAMED = [
+    ("spectrum", "--group", "1024", "--set", "180,329,450,574,676,764,844,910",
+     "--format", "text"),
+    ("enumerate", "--group", "2x2x2x2", "--budget", "50"),
+]
+
+
+@pytest.mark.parametrize("argv", LINE_STREAMED, ids=[a[0] for a in LINE_STREAMED])
+def test_line_output_reaches_the_stream_in_several_writes(argv):
+    digest = dict(GOLDEN_STDOUT)[argv]
     stream = RecordingStream()
     assert run(list(argv), stdout=stream, stderr=io.StringIO()) == 0
     assert len(stream.writes) > 1

@@ -40,6 +40,7 @@ def oracle_divmod(a, b):
     b = [Fraction(c) for c in b]
     while b and b[-1] == 0:
         b.pop()
+    terms = [(i, c) for i, c in enumerate(b) if c]  # a zero term subtracts nothing
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
     while True:
         while a and a[-1] == 0:
@@ -49,7 +50,7 @@ def oracle_divmod(a, b):
         t = a[-1] / b[-1]
         shift = len(a) - len(b)
         q[shift] += t
-        for i, c in enumerate(b):
+        for i, c in terms:
             a[shift + i] -= t * c
     return q, a
 
@@ -135,6 +136,22 @@ def test_reduce_large_orders_against_division_oracle(order):
         assert third.coeffs == tuple(c / 3 for c in expected)
         direct = sum(c * cmath.exp(1j * tau * j / order) for j, c in enumerate(counts))
         assert abs(direct - z.to_complex()) < 1e-9
+
+
+# exponents below totient(order) take the identity-slot path of the
+# reduction, the rest the power-table rows; 8190 = 3 * rad(8190), and the
+# test above covers 486, 768 and 1506
+@pytest.mark.parametrize("order", [*range(1, 61), 8190])
+def test_reduce_root_counts_against_division_oracle(order):
+    rng = random.Random(order)
+    modulus = list(cyclotomic_poly(order).coeffs)
+    phi = totient(order)
+    for _ in range(1 if order == 8190 else 3):
+        counts = [0] * order
+        for j in rng.sample(range(order), min(order, 8)):
+            counts[j] = rng.randint(-10, 10)
+        _, r = oracle_divmod(counts, modulus)
+        assert reduce_root_counts(order, counts).coeffs == tuple(r) + (0,) * (phi - len(r))
 
 
 def test_as_integer_examples():

@@ -151,3 +151,12 @@ def test_character_symmetry_and_order(gxs):
     g, alpha, x = gxs
     assert g.character_exponent(alpha, x) == g.character_exponent(x, alpha)
     assert g.order_of(x) * g.character_exponent(alpha, x) % g.root_order == 0
+
+
+@given(group_with_elements(count=2))
+@settings(max_examples=300)
+def test_character_exponent_matches_literal_sum(gxs):
+    g, alpha, x = gxs
+    N = g.root_order
+    expected = sum((N // n) * a * c for a, c, n in zip(alpha, x, g.moduli)) % N
+    assert g.character_exponent(alpha, x) == expected
