@@ -412,7 +412,18 @@ STREAMED = [
 ]
 
 
-@pytest.mark.parametrize("argv", STREAMED, ids=[" ".join(a[:3]) for a in STREAMED])
+def _streamed_id(argv):
+    """The command and group, plus the option that tells a case apart from
+    an earlier one with the same command and group."""
+    base = " ".join(argv[:3])
+    if "--format" in argv:
+        return base + " --format " + argv[argv.index("--format") + 1]
+    if "--budget" in argv:
+        return base + " --budget " + argv[argv.index("--budget") + 1]
+    return base
+
+
+@pytest.mark.parametrize("argv", STREAMED, ids=[_streamed_id(a) for a in STREAMED])
 def test_out_file_gets_the_same_bytes_as_stdout(argv, tmp_path):
     target = tmp_path / "out.json"
     code, out, err = run_cli(*argv)
