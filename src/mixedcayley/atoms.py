@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .groups import Element, GroupSpec
 
@@ -47,15 +48,26 @@ def divisors_mod3(g: int, r: int) -> frozenset[int]:
     return frozenset(k for k in divisors_not3(g) if k % 3 == r)
 
 
-@lru_cache(maxsize=None)
-def _class_index(
-    group: GroupSpec,
-) -> tuple[dict[Element, frozenset[Element]], dict[Element, frozenset[Element]]]:
-    """Maps element -> atom and, where 3 divides its order, element -> skew class.
+Split = tuple[frozenset[Element], tuple[frozenset[Element], ...]]
 
-    Each class is built once and shared by all of its members.
+
+class _ClassIndex(NamedTuple):
+    splits: tuple[Split, ...]
+    atom: dict[Element, frozenset[Element]]
+    eclass: dict[Element, frozenset[Element]]
+
+
+@lru_cache(maxsize=None)
+def _class_index(group: GroupSpec) -> _ClassIndex:
+    """The group's atoms with their skew classes, and the element -> class maps.
+
+    One lexicographic walk: each new x is the least member of its atom, and
+    its k = 1 (mod 3) class holds x, so atoms and skew classes both come out
+    in order of least member.  Each class is one frozenset shared by its
+    members.
     """
-    atoms: dict[Element, frozenset[Element]] = {group.zero: frozenset({group.zero})}
+    atoms = {group.zero: frozenset({group.zero})}
+    splits: list[Split] = [(atoms[group.zero], ())]
     eclasses: dict[Element, frozenset[Element]] = {}
     for x in group.elements:
         if x in atoms:
@@ -63,12 +75,26 @@ def _class_index(
         m = group.order_of(x)
         atom = frozenset(group.scale(k, x) for k in g_units(m))
         atoms.update(dict.fromkeys(atom, atom))
-        if m % 3 == 0:
-            # k*x for k = 1 mod 3 is x's class; k = 2 mod 3 gives the class of -x
-            for r in (1, 2):
-                cls = frozenset(group.scale(k, x) for k in g_units_mod3(m, r))
-                eclasses.update(dict.fromkeys(cls, cls))
-    return atoms, eclasses
+        residues = (1, 2) if m % 3 == 0 else ()
+        classes = tuple(frozenset(group.scale(k, x) for k in g_units_mod3(m, r)) for r in residues)
+        for cls in classes:
+            eclasses.update(dict.fromkeys(cls, cls))
+        splits.append((atom, classes))
+    return _ClassIndex(tuple(splits), atoms, eclasses)
+
+
+def atom_splits(group: GroupSpec) -> tuple[Split, ...]:
+    """Every atom with its skew classes (none, or two), in order of least member."""
+    return _class_index(group).splits
+
+
+def _require_element(group: GroupSpec, x) -> None:
+    """Raise ValueError naming x unless it is a reduced element of the group.
+
+    Called only when a lookup in the index missed, so hits cost nothing.
+    """
+    if not group.contains(x):
+        raise ValueError(f"{x} is not a reduced element of group {group.spec_string()}")
 
 
 def atom_of(group: GroupSpec, x: Element) -> frozenset[Element]:
@@ -76,7 +102,11 @@ def atom_of(group: GroupSpec, x: Element) -> frozenset[Element]:
 
     ``x`` must be a reduced element of the group.
     """
-    return _class_index(group)[0][x]
+    try:
+        return _class_index(group).atom[x]
+    except KeyError:
+        _require_element(group, x)
+        raise
 
 
 def eclass_of(group: GroupSpec, x: Element) -> frozenset[Element]:
@@ -84,23 +114,16 @@ def eclass_of(group: GroupSpec, x: Element) -> frozenset[Element]:
 
     ``x`` must be a reduced element of the group.
     """
-    cls = _class_index(group)[1].get(x)
+    cls = _class_index(group).eclass.get(x)
     if cls is None:
+        _require_element(group, x)
         raise ValueError(f"element {x} has order {group.order_of(x)}, not divisible by 3")
     return cls
 
 
 def atom_partition(group: GroupSpec) -> list[frozenset[Element]]:
     """All atoms, ordered by their lexicographically smallest member."""
-    seen: set[Element] = set()
-    atoms: list[frozenset[Element]] = []
-    for x in group.elements:
-        if x in seen:
-            continue
-        a = atom_of(group, x)
-        atoms.append(a)
-        seen |= a
-    return atoms
+    return [atom for atom, _ in atom_splits(group)]
 
 
 @dataclass(frozen=True)
@@ -116,34 +139,28 @@ class AtomDecomposition:
     classes: tuple[frozenset[Element], ...]
 
     def union(self) -> frozenset[Element]:
-        return frozenset().union(*self.classes) if self.classes else frozenset()
+        return frozenset().union(*self.classes)
 
 
-def _decompose(members, pieces_of, kind: str) -> AtomDecomposition | None:
-    """Greedy closure: peel off the class of the smallest remaining element."""
+def _decompose(group: GroupSpec, members, class_of, kind: str) -> AtomDecomposition | None:
+    """The distinct classes of the members, or None if one is not a subset."""
     members = frozenset(members)
-    remaining = set(members)
-    reps: list[Element] = []
-    classes: list[frozenset[Element]] = []
-    while remaining:
-        x = min(remaining)
-        piece = pieces_of(x)
-        if not piece <= members:
-            return None
-        reps.append(min(piece))
-        classes.append(piece)
-        remaining -= piece
-    pairs = sorted(zip(reps, classes))
+    try:
+        classes = {class_of[x] for x in members}
+    except KeyError as exc:
+        _require_element(group, exc.args[0])
+        raise
+    if not all(cls <= members for cls in classes):
+        return None
+    ordered = sorted(classes, key=min)
     return AtomDecomposition(
-        kind=kind,
-        representatives=tuple(r for r, _ in pairs),
-        classes=tuple(c for _, c in pairs),
+        kind=kind, representatives=tuple(map(min, ordered)), classes=tuple(ordered)
     )
 
 
 def in_boolean_algebra(group: GroupSpec, members) -> AtomDecomposition | None:
     """Decompose a set into whole atoms, or None if some atom is cut."""
-    return _decompose(members, _class_index(group)[0].__getitem__, "boolean_atoms")
+    return _decompose(group, members, _class_index(group).atom, "boolean_atoms")
 
 
 def in_skew_family(group: GroupSpec, members) -> AtomDecomposition | None:
@@ -154,12 +171,11 @@ def in_skew_family(group: GroupSpec, members) -> AtomDecomposition | None:
     divisible by 3 only the empty set passes.
     """
     members = frozenset(members)
-    if not members:
-        return AtomDecomposition(kind="skew_classes", representatives=(), classes=())
-    eclasses = _class_index(group)[1]
+    eclasses = _class_index(group).eclass
     for x in members:
         if x not in eclasses:
+            _require_element(group, x)
             return None
         if group.neg(x) in members:
             return None
-    return _decompose(members, eclasses.__getitem__, "skew_classes")
+    return _decompose(group, members, eclasses, "skew_classes")

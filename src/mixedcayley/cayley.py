@@ -44,9 +44,6 @@ class ConnectionSet:
     sym_part: frozenset[Element]
     skew_part: frozenset[Element]
 
-    def is_symmetric(self) -> bool:
-        return not self.skew_part
-
     def is_skew_symmetric(self) -> bool:
         return not self.sym_part
 

@@ -16,7 +16,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import IO
 
-from .atoms import AtomDecomposition, atom_partition, eclass_of
+from .atoms import AtomDecomposition, atom_splits
 from .cayley import ExactSpectrum, exact_spectrum, make_connection_set, to_dot
 from .cyclo import CycloNum
 from .groups import Element, GroupSpec, parse_group
@@ -62,9 +62,10 @@ def parse_set(spec: str, group: GroupSpec, reduce_coords: bool = True) -> frozen
             j += 1
         while j < n and spec[j].isdigit():
             j += 1
-        if j == start or not spec[start:j].lstrip("+-"):
-            raise SetSpecError(start, "expected an integer")
-        return int(spec[start:j]), j
+        try:  # str.isdigit also passes characters such as '²' that int() rejects
+            return int(spec[start:j]), j
+        except ValueError:
+            raise SetSpecError(start, "expected an integer") from None
 
     def make_element(coords: tuple[int, ...], at: int) -> Element:
         if len(coords) != k:
@@ -158,13 +159,14 @@ def spectrum_to_json(spectrum: ExactSpectrum) -> list[dict]:
     return list(_spectrum_entries(spectrum))
 
 
+def _class_json(rep: Element, cls: frozenset[Element]) -> dict:
+    return {"rep": list(rep), "members": [list(x) for x in sorted(cls)]}
+
+
 def decomposition_to_json(dec: AtomDecomposition | None) -> list[dict] | None:
     if dec is None:
         return None
-    return [
-        {"rep": list(rep), "members": [list(x) for x in sorted(cls)]}
-        for rep, cls in zip(dec.representatives, dec.classes)
-    ]
+    return [_class_json(rep, cls) for rep, cls in zip(dec.representatives, dec.classes)]
 
 
 def classification_to_json(report: ClassificationReport) -> dict:
@@ -349,34 +351,25 @@ def _run_spectrum(args, stdout: IO[str]) -> int:
 
 def _run_atoms(args, stdout: IO[str]) -> int:
     group = parse_group(args.group)
-    listing = []
-    for atom in atom_partition(group):
-        rep = min(atom)
-        entry = {
-            "rep": list(rep),
-            "members": [list(x) for x in sorted(atom)],
-            "order": group.order_of(rep),
-        }
-        if rep != group.zero and group.order_of(rep) % 3 == 0:
-            cls1 = eclass_of(group, rep)
-            cls2 = eclass_of(group, group.neg(rep))
-            entry["skew_classes"] = [
-                {"rep": list(min(c)), "members": [list(x) for x in sorted(c)]}
-                for c in sorted((cls1, cls2), key=min)
-            ]
-        listing.append(entry)
-    payload = {"group": group.spec_string(), "atoms": listing}
+    splits = atom_splits(group)
     if args.format == "text":
         lines = []
-        for entry in listing:
-            members = ",".join(format_element(tuple(x), group) for x in entry["members"])
-            lines.append(f"atom [{format_element(tuple(entry['rep']), group)}] = {{{members}}}")
-            for cls in entry.get("skew_classes", []):
-                cmembers = ",".join(format_element(tuple(x), group) for x in cls["members"])
-                lines.append(f"  skew class <<{format_element(tuple(cls['rep']), group)}>> = {{{cmembers}}}")
+        for atom, classes in splits:
+            lines.append(f"atom [{format_element(min(atom), group)}] = {{{format_set(atom, group)}}}")
+            lines += [
+                f"  skew class <<{format_element(min(c), group)}>> = {{{format_set(c, group)}}}"
+                for c in classes
+            ]
         _emit("\n".join(lines) + "\n", args.out, stdout)
-    else:
-        _emit_json(payload, args.out, stdout)
+        return 0
+    listing = []
+    for atom, classes in splits:
+        rep = min(atom)
+        entry = {**_class_json(rep, atom), "order": group.order_of(rep)}
+        if classes:
+            entry["skew_classes"] = [_class_json(min(c), c) for c in classes]
+        listing.append(entry)
+    _emit_json({"group": group.spec_string(), "atoms": listing}, args.out, stdout)
     return 0
 
 

@@ -67,13 +67,6 @@ class Poly:
 
     coeffs: tuple[Rational, ...]
 
-    @staticmethod
-    def of(coeffs) -> Poly:
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Poly(tuple(cs))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -14,13 +14,14 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+from math import prod
 from typing import Iterable, Iterator
 
 from .atoms import (
     AtomDecomposition,
     atom_of,
-    atom_partition,
+    atom_splits,
     eclass_of,
     in_boolean_algebra,
     in_skew_family,
@@ -75,11 +76,8 @@ def certificate(group: GroupSpec, x: Element, alpha: Element) -> CertificateValu
     divisibility facts fails, since that would falsify the machinery every
     verdict rests on.
     """
-    m = group.order_of(x)
-    if m % 3 != 0:
-        raise ValueError(f"element {x} has order {m}, not divisible by 3")
+    eclass = eclass_of(group, x)  # ValueError unless x is in the group and 3 divides its order
     n = group.root_order
-    eclass = eclass_of(group, x)
     forward = character_sum(group, alpha, [(s, 0) for s in eclass])
     backward = character_sum(group, alpha, [(group.neg(s), 0) for s in eclass])
     atom_sum = atom_character_sum(group, x, alpha)
@@ -229,24 +227,12 @@ class EnumerationStream:
 
 
 def _atom_choices(group: GroupSpec) -> list[list[frozenset[Element]]]:
-    """Per-atom options: skip it, take it whole, or take one skew class."""
-    choices: list[list[frozenset[Element]]] = []
-    for atom in atom_partition(group):
-        rep = min(atom)
-        if rep == group.zero:
-            continue
-        if group.order_of(rep) % 3 == 0:
-            choices.append(
-                [
-                    frozenset(),
-                    atom,
-                    eclass_of(group, rep),
-                    eclass_of(group, group.neg(rep)),
-                ]
-            )
-        else:
-            choices.append([frozenset(), atom])
-    return choices
+    """Per nonzero atom: skip it, take it whole, or take one of its skew classes."""
+    return [
+        [frozenset(), atom, *classes]
+        for atom, classes in atom_splits(group)
+        if group.zero not in atom
+    ]
 
 
 def enumerate_hs_integral(
@@ -263,22 +249,16 @@ def enumerate_hs_integral(
     if budget is not None and budget < 0:
         raise ValueError(f"enumeration budget must be >= 0, got {budget}")
     choices = _atom_choices(group)
-    total = 1
-    for c in choices:
-        total *= len(c)
-    truncated = budget is not None and total > budget
-
-    def generate() -> Iterator[ConnectionSet]:
-        emitted = 0
-        for picks in product(*choices):
-            if truncated and emitted >= budget:
-                return
-            members: frozenset[Element] = frozenset().union(*picks) if picks else frozenset()
-            emitted += 1
-            yield make_connection_set(group, members)
-
+    total = prod(map(len, choices))
+    sets = (
+        make_connection_set(group, frozenset().union(*picks))
+        for picks in islice(product(*choices), budget)
+    )
     return EnumerationStream(
-        group=group, total=total, truncated=truncated, sets=generate()
+        group=group,
+        total=total,
+        truncated=budget is not None and total > budget,
+        sets=sets,
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from math import gcd
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from mixedcayley import (
     atom_of,
     atom_partition,
+    atom_splits,
+    certificate,
     divisors_mod3,
     divisors_not3,
     eclass_of,
@@ -101,6 +104,40 @@ def test_atom_and_eclass_match_generator_sets():
             else:  # the identity included
                 with pytest.raises(ValueError, match="not divisible by 3"):
                     eclass_of(g, x)
+
+
+def test_index_matches_generator_sets_in_order_of_least_member():
+    for mods in ([1], [12], [36], [3, 3], [2, 6], [3, 3, 3], [2, 2, 9]):
+        g = make_group(mods)
+        expected = {}
+        for x in g.elements:
+            m = g.order_of(x)
+            units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
+            atom = frozenset(g.scale(k, x) for k in units)
+            classes = []
+            if m % 3 == 0:
+                classes = [frozenset(g.scale(k, x) for k in units if k % 3 == r) for r in (1, 2)]
+            expected[atom] = tuple(sorted(classes, key=min))
+        ordered = sorted(expected.items(), key=lambda pair: min(pair[0]))
+        assert list(atom_splits(g)) == ordered
+        assert atom_partition(g) == [atom for atom, _ in ordered]
+
+
+@pytest.mark.parametrize("x", [(10,), (1, 2)])
+def test_foreign_element_raises_value_error_naming_it(x):
+    g = make_group([9])
+    lookups = [
+        lambda: atom_of(g, x),
+        lambda: eclass_of(g, x),
+        lambda: in_boolean_algebra(g, {x}),
+        lambda: in_boolean_algebra(g, {(3,), (6,), x}),
+        lambda: in_skew_family(g, {x}),
+        lambda: in_skew_family(g, {(1,), (4,), (7,), x}),
+        lambda: certificate(g, x, (1,)),
+    ]
+    for lookup in lookups:
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(x))} is not a reduced element"):
+            lookup()
 
 
 def test_atoms_partition_group():

@@ -69,6 +69,11 @@ def test_parse_set_error_positions():
         parse_set("(0,1),", g)  # trailing comma
     with pytest.raises(SetSpecError):
         parse_set("1,2", g)  # bare integers need a cyclic group
+    g5 = make_group([5])
+    with pytest.raises(SetSpecError, match="expected an integer") as exc:
+        parse_set("1, ²", g5)  # str.isdigit passes '²', int() does not
+    assert exc.value.position == 3
+    assert parse_set("\u0663", g5) == {(3,)}  # an Arabic-Indic digit int() reads
 
 
 def test_parse_set_strict_range():
@@ -356,6 +361,13 @@ GOLDEN_STDOUT = [
      "7507c14aa2ac8159cb60df75033243721deb5e7e47134e65910224a0df90ce96"),
     (("enumerate", "--group", "2x2x2x2", "--budget", "0"),
      "c28e9b6892b9fbc0d1a38ea5425ea09584a6ce324c413c32bb920d017c41a918"),
+    # groups with skew classes, so the per-atom choice and class order is pinned
+    (("enumerate", "--group", "9"),
+     "7c07514a5a607d18bb9317757562ccd9020d52b2892f4c62688ad2919f685638"),
+    (("enumerate", "--group", "3x3", "--budget", "40"),
+     "15eb325b745d71a8071c1755bac811794c08e787aa1372d468ddd8cafded92e8"),
+    (("atoms", "--group", "3x3x3", "--format", "text"),
+     "97d174e91466c5afd178527b163f2b3f3f8fff0cd702a808e83205f45fc9c726"),
 ]
 
 
