@@ -3,16 +3,19 @@
 Exit codes: 0 on success, 1 on malformed input, 2 when an exact
 consistency check fails (a verdict disagreement or a sweep
 counterexample), so CI can tell bad input from a falsified invariant.
+The console script exits 141 (128 + SIGPIPE) when the reader of its
+stdout closes the pipe early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import IO
 
@@ -139,12 +142,17 @@ def cyclo_to_json(z: CycloNum) -> dict:
     """Exact canonical coefficients plus a 12-place decimal approximation.
 
     ``str`` writes an int as its digits and a Fraction as "p/q", or as its
-    numerator when the denominator is 1.
+    numerator when the denominator is 1.  A zero, int or Fraction, is "0",
+    so only the nonzero slots are converted.
     """
     reduced = z.reduce()
+    cs = reduced.coeffs
+    text = ["0"] * len(cs)
+    for j in compress(range(len(cs)), cs):
+        text[j] = str(cs[j])
     return {
         "order": z.order,
-        "coeffs": list(map(str, reduced.coeffs)),
+        "coeffs": text,
         "approx": _approx_text(reduced),
     }
 
@@ -475,4 +483,13 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): point stdout at devnull
+        # so the flush at exit cannot raise again, and exit 128 + SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)

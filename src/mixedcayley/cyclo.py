@@ -170,7 +170,7 @@ def _reduce(order: int, coeffs) -> CycloNum:
         q, t = divmod(j, k)
         for i, d in rows[q]:
             out[i * k + t] += c * d
-    return CycloNum(order, tuple(out))
+    return _cyclo(order, tuple(out))
 
 
 @lru_cache(maxsize=None)
@@ -179,12 +179,13 @@ def _unit_roots(order: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(1j * tau * j / order) for j in range(order))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CycloNum:
     """An exact element of Q(w_N): value = sum_j coeffs[j] * w_N^j.
 
     ``coeffs`` has at most N entries; slots past its end are zero.  A
-    reduced value has exactly totient(N) of them.
+    reduced value has exactly totient(N) of them.  Arithmetic takes
+    CycloNum, int and Fraction operands; anything else is a TypeError.
     """
 
     order: int
@@ -222,13 +223,18 @@ class CycloNum:
         return self.lift(n), other.lift(n)
 
     def __add__(self, other) -> CycloNum:
-        if not isinstance(other, CycloNum):
-            other = CycloNum.from_rational(other)
-        a, b = self._common(other)
+        if other.__class__ is CycloNum and other.order == self.order:
+            a, b = self, other
+        elif isinstance(other, (int, Fraction)):
+            a, b = self._common(CycloNum.from_rational(other))
+        elif isinstance(other, CycloNum):
+            a, b = self._common(other)
+        else:
+            return NotImplemented
         x, y = a.coeffs, b.coeffs
         if len(x) < len(y):
             x, y = y, x
-        return CycloNum(a.order, tuple(map(operator.add, x, y)) + x[len(y):])
+        return _cyclo(a.order, tuple(map(operator.add, x, y)) + x[len(y):])
 
     __radd__ = __add__
 
@@ -236,14 +242,20 @@ class CycloNum:
         return CycloNum(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> CycloNum:
+        if not isinstance(other, (CycloNum, int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> CycloNum:
+        if not isinstance(other, (CycloNum, int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> CycloNum:
         if isinstance(other, (int, Fraction)):
             return CycloNum(self.order, tuple(c * other for c in self.coeffs))
+        if not isinstance(other, CycloNum):
+            return NotImplemented
         a, b = self._common(other)
         n = a.order
         out: list[Rational] = [0] * min(n, len(a.coeffs) + len(b.coeffs) - 1)
@@ -274,7 +286,7 @@ class CycloNum:
             return self
         if any(cs[phi:]):
             return _reduce(self.order, cs)
-        return CycloNum(self.order, cs[:phi] + (0,) * (phi - len(cs)))
+        return _cyclo(self.order, cs[:phi] + (0,) * (phi - len(cs)))
 
     def canonical_coeffs(self) -> tuple[Rational, ...]:
         """The totient(N) coefficients of the reduced form."""
@@ -307,6 +319,20 @@ class CycloNum:
         ]
         body = " + ".join(terms) if terms else "0"
         return f"CycloNum(order={self.order}, {body})"
+
+
+_new_object = object.__new__
+_set_order = CycloNum.order.__set__
+_set_coeffs = CycloNum.coeffs.__set__
+
+
+def _cyclo(order: int, coeffs: tuple[Rational, ...]) -> CycloNum:
+    """CycloNum(order, coeffs) without ``__post_init__``, for a vector that
+    is valid by construction: order >= 1 and at most ``order`` slots."""
+    z = _new_object(CycloNum)
+    _set_order(z, order)
+    _set_coeffs(z, coeffs)
+    return z
 
 
 def root(order: int, j: int) -> CycloNum:

@@ -5,7 +5,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,7 +28,7 @@ from mixedcayley.cli import (
     parse_set,
     run,
 )
-from mixedcayley.cyclo import CycloNum, root
+from mixedcayley.cyclo import CycloNum, root, totient
 from mixedcayley.integrality import classify
 
 
@@ -104,6 +108,37 @@ def test_cyclo_json_writes_fractions_as_p_over_q():
     assert payload["coeffs"] == ["1/2", "-2"]
     payload = cyclo_to_json(CycloNum(2, (Fraction(-7, 3), 0)))
     assert payload["coeffs"] == ["-7/3"]
+
+
+coefficients = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(-(10**40), 10**40),
+    st.fractions(max_denominator=10**6),
+    st.sampled_from([Fraction(0), Fraction(4, 2), Fraction(-1, 3)]),
+)
+
+
+@st.composite
+def sparse_values(draw):
+    """Zero-heavy values at the benchmark's root orders, reduced or not."""
+    order = draw(st.sampled_from((1, 6, 486, 768, 1506)))
+    phi = totient(order)
+    length = draw(st.one_of(st.sampled_from((0, phi, order)), st.integers(0, order)))
+    coeffs = [0] * length
+    if length:
+        start = draw(st.integers(0, length - 1))
+        block = draw(st.lists(coefficients, max_size=min(24, length - start)))
+        coeffs[start:start + len(block)] = block
+        for j in draw(st.lists(st.integers(0, length - 1), max_size=6)):
+            coeffs[j] = draw(coefficients)
+    return CycloNum(order, tuple(coeffs))
+
+
+@given(sparse_values())
+@settings(max_examples=60, deadline=None)
+def test_cyclo_json_coeffs_are_str_of_every_canonical_slot(z):
+    assert cyclo_to_json(z)["coeffs"] == list(map(str, z.reduce().coeffs))
 
 
 def test_classification_json_schema():
@@ -275,6 +310,28 @@ def test_cli_write_error_on_stdout_is_not_bad_input():
             stdout=BrokenStream(),
             stderr=io.StringIO(),
         )
+
+
+def test_console_exits_141_in_silence_when_the_reader_closes_early():
+    """``mixedcayley classify ... | head -c 20``: no traceback, not exit 1."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_mod.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mixedcayley", "classify", "--group", "256", "--set", "1,2,3,5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()  # the JSON is far longer than a pipe buffer
+        stderr = proc.stderr.read()
+        proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 141
+    assert stderr == b""
 
 
 def test_cli_exit_2_on_inconsistency(monkeypatch):

@@ -6,6 +6,7 @@ import cmath
 import random
 from fractions import Fraction
 from math import lcm, tau
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -409,3 +410,51 @@ def test_coefficient_vector_longer_than_order_is_rejected():
         CycloNum(3, (1, 0, 0, 0))
     assert CycloNum(3, ()).is_zero()
     assert CycloNum(3, (5,)).reduce().coeffs == (5, 0)
+
+
+@pytest.mark.parametrize("inexact", [0.5, 1j, "w"], ids=["float", "complex", "str"])
+def test_inexact_operands_raise_type_error(inexact):
+    z = root(6, 1)
+    for op in (
+        lambda: z + inexact,
+        lambda: inexact + z,
+        lambda: z - inexact,
+        lambda: inexact - z,
+        lambda: z * inexact,
+        lambda: inexact * z,
+    ):
+        with pytest.raises(TypeError):
+            op()
+
+
+def _assert_valid(z, reduced):
+    """What ``CycloNum.__post_init__`` checks, plus the canonical length."""
+    assert type(z) is CycloNum and type(z.coeffs) is tuple
+    assert z.order >= 1 and len(z.coeffs) <= z.order
+    if reduced:
+        assert len(z.coeffs) == totient(z.order)
+    CycloNum(z.order, z.coeffs)  # the validating constructor accepts it
+
+
+@st.composite
+def count_vectors(draw, order):
+    """A possibly unreduced, mostly zero vector of at most ``order`` counts."""
+    counts = [0] * draw(st.integers(0, order))
+    if counts:
+        for j in draw(st.lists(st.integers(0, len(counts) - 1), max_size=8)):
+            counts[j] += draw(st.integers(-3, 3))
+    return counts
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_values_built_without_validation_pass_its_checks(data):
+    order = data.draw(st.one_of(st.integers(1, 36), st.sampled_from((486, 768, 1506))))
+    counts, other = data.draw(count_vectors(order)), data.draw(count_vectors(order))
+    _assert_valid(reduce_root_counts(order, counts), reduced=True)
+    z, w = CycloNum(order, tuple(counts)), CycloNum(order, tuple(other))
+    _assert_valid(z.reduce(), reduced=True)
+    total = z + w  # same order: the path that skips lcm and lift
+    _assert_valid(total, reduced=False)
+    _assert_valid(total.reduce(), reduced=True)
+    assert total.reduce().coeffs == tuple(map(add, z.reduce().coeffs, w.reduce().coeffs))
