@@ -34,20 +34,6 @@ def g_units_mod3(m: int, r: int) -> frozenset[int]:
     return frozenset(k for k in g_units(m) if k % 3 == r)
 
 
-def divisors_not3(g: int) -> frozenset[int]:
-    """Divisors of g that are not multiples of 3."""
-    if g < 1:
-        raise ValueError(f"need a positive integer, got {g}")
-    return frozenset(k for k in range(1, g + 1) if g % k == 0 and k % 3 != 0)
-
-
-def divisors_mod3(g: int, r: int) -> frozenset[int]:
-    """Divisors of g congruent to r mod 3."""
-    if r not in (1, 2):
-        raise ValueError(f"residue must be 1 or 2, got {r}")
-    return frozenset(k for k in divisors_not3(g) if k % 3 == r)
-
-
 Split = tuple[frozenset[Element], tuple[frozenset[Element], ...]]
 
 
@@ -88,13 +74,7 @@ def atom_splits(group: GroupSpec) -> tuple[Split, ...]:
     return _class_index(group).splits
 
 
-def _require_element(group: GroupSpec, x) -> None:
-    """Raise ValueError naming x unless it is a reduced element of the group.
-
-    Called only when a lookup in the index missed, so hits cost nothing.
-    """
-    if not group.contains(x):
-        raise ValueError(f"{x} is not a reduced element of group {group.spec_string()}")
+# Lookups below check membership only when the index misses, so hits cost nothing.
 
 
 def atom_of(group: GroupSpec, x: Element) -> frozenset[Element]:
@@ -105,7 +85,7 @@ def atom_of(group: GroupSpec, x: Element) -> frozenset[Element]:
     try:
         return _class_index(group).atom[x]
     except KeyError:
-        _require_element(group, x)
+        group.require_element(x)
         raise
 
 
@@ -116,14 +96,9 @@ def eclass_of(group: GroupSpec, x: Element) -> frozenset[Element]:
     """
     cls = _class_index(group).eclass.get(x)
     if cls is None:
-        _require_element(group, x)
+        group.require_element(x)
         raise ValueError(f"element {x} has order {group.order_of(x)}, not divisible by 3")
     return cls
-
-
-def atom_partition(group: GroupSpec) -> list[frozenset[Element]]:
-    """All atoms, ordered by their lexicographically smallest member."""
-    return [atom for atom, _ in atom_splits(group)]
 
 
 @dataclass(frozen=True)
@@ -148,7 +123,7 @@ def _decompose(group: GroupSpec, members, class_of, kind: str) -> AtomDecomposit
     try:
         classes = {class_of[x] for x in members}
     except KeyError as exc:
-        _require_element(group, exc.args[0])
+        group.require_element(exc.args[0])
         raise
     if not all(cls <= members for cls in classes):
         return None
@@ -174,7 +149,7 @@ def in_skew_family(group: GroupSpec, members) -> AtomDecomposition | None:
     eclasses = _class_index(group).eclass
     for x in members:
         if x not in eclasses:
-            _require_element(group, x)
+            group.require_element(x)
             return None
         if group.neg(x) in members:
             return None

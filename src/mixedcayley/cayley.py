@@ -44,9 +44,6 @@ class ConnectionSet:
     sym_part: frozenset[Element]
     skew_part: frozenset[Element]
 
-    def is_skew_symmetric(self) -> bool:
-        return not self.sym_part
-
 
 def make_connection_set(group: GroupSpec, members: Iterable) -> ConnectionSet:
     """Validate members and compute the canonical symmetric/skew split."""
@@ -96,14 +93,6 @@ def build_matrices(cs: ConnectionSet) -> MixedGraphMatrices:
     return MixedGraphMatrices(n=g.order, adjacency=tuple(adj), hermitian2=tuple(herm))
 
 
-def matrices_to_json(m: MixedGraphMatrices) -> dict:
-    return {
-        "n": m.n,
-        "adjacency": [list(row) for row in m.adjacency],
-        "hermitian2": [list(row) for row in m.hermitian2],
-    }
-
-
 def character_sum(
     group: GroupSpec, alpha: Element, terms: Iterable[tuple[Element, int]]
 ) -> CycloNum:
@@ -134,20 +123,15 @@ def _terms(cs: ConnectionSet, kind: str) -> list[tuple[Element, int]]:
 
 def hs_eigenvalue(cs: ConnectionSet, alpha: Element) -> CycloNum:
     """Exact HS eigenvalue: the symmetric-part character sum plus the
-    sixth-root weighted skew-part sum."""
+    sixth-root weighted skew-part sum.  ``alpha`` must be a reduced element."""
+    cs.group.require_element(alpha)
     return character_sum(cs.group, alpha, _terms(cs, "hs"))
 
 
-def hs_eigenvalue_components(cs: ConnectionSet, alpha: Element) -> tuple[CycloNum, CycloNum]:
-    """The (symmetric, skew) summands of the HS eigenvalue, separately."""
-    return (
-        character_sum(cs.group, alpha, _terms(cs, "simple_part")),
-        character_sum(cs.group, alpha, _terms(cs, "skew_part")),
-    )
-
-
 def a_eigenvalue(cs: ConnectionSet, alpha: Element) -> CycloNum:
-    """Exact (0,1)-adjacency eigenvalue: the plain character sum over S."""
+    """Exact (0,1)-adjacency eigenvalue: the plain character sum over S.
+    ``alpha`` must be a reduced element."""
+    cs.group.require_element(alpha)
     return character_sum(cs.group, alpha, _terms(cs, "adjacency"))
 
 

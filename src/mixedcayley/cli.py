@@ -204,6 +204,8 @@ def verification_to_json(report: VerificationReport) -> dict:
         "hs_integral_count": report.hs_integral_count,
         "counterexamples": list(report.counterexamples),
         "seed": report.seed,
+        "exhaustive": report.exhaustive,
+        "budget": report.budget,
     }
 
 

@@ -23,8 +23,6 @@ from functools import lru_cache
 from itertools import compress
 from math import lcm, prod, tau
 
-from .atoms import g_units_mod3
-
 Rational = int | Fraction
 
 
@@ -57,27 +55,6 @@ def totient(m: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Dense univariate polynomial with exact rational coefficients.
-
-    ``coeffs[i]`` is the coefficient of x^i; trailing zeros are trimmed so
-    the zero polynomial has an empty tuple.
-    """
-
-    coeffs: tuple[Rational, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-
 def _times_binomial(a: list[int], d: int) -> list[int]:
     """a(x) * (x^d - 1)."""
     out = [0] * d + a
@@ -97,8 +74,9 @@ def _over_binomial(a: list[int], d: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(m: int) -> Poly:
-    """The m-th cyclotomic polynomial, built as Phi_r(x^(m/r)) with r = rad(m).
+def cyclotomic_poly(m: int) -> tuple[int, ...]:
+    """The m-th cyclotomic polynomial's coefficients, constant term first,
+    built as Phi_r(x^(m/r)) with r = rad(m).
 
     For squarefree r, Phi_r = prod over d | r of (x^d - 1)^mu(r/d), so it
     takes only multiplications and exact divisions by binomials.
@@ -120,14 +98,14 @@ def cyclotomic_poly(m: int) -> Poly:
     k = m // _radical(m)
     out = [0] * ((len(poly) - 1) * k + 1)
     out[::k] = poly
-    return Poly(tuple(out))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _power_rows(r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Row q = the nonzero (i, c) terms of y^q modulo Phi_r(y), for q < r."""
     phi = totient(r)
-    low = [(i, c) for i, c in enumerate(cyclotomic_poly(r).coeffs[:phi]) if c]
+    low = [(i, c) for i, c in enumerate(cyclotomic_poly(r)[:phi]) if c]
     rows = []
     row = {0: 1}
     for _ in range(r):
@@ -200,10 +178,6 @@ class CycloNum:
             )
 
     @staticmethod
-    def zero(order: int = 1) -> CycloNum:
-        return CycloNum(order, ())
-
-    @staticmethod
     def from_rational(value: Rational, order: int = 1) -> CycloNum:
         return CycloNum(order, (value,))
 
@@ -268,15 +242,6 @@ class CycloNum:
         return CycloNum(n, tuple(out))
 
     __rmul__ = __mul__
-
-    def conj(self) -> CycloNum:
-        """Complex conjugate: exponent j maps to N - j."""
-        n = self.order
-        out: list[Rational] = [0] * n
-        for j, c in enumerate(self.coeffs):
-            if c != 0:
-                out[(n - j) % n] += c
-        return CycloNum(n, tuple(out))
 
     def reduce(self) -> CycloNum:
         """Canonical form: the remainder modulo Phi_N, totient(N) coefficients."""
@@ -365,14 +330,6 @@ def as_integer(z: CycloNum) -> int | None:
     return _as_int(c[0])
 
 
-def as_rational(z: CycloNum) -> Fraction | None:
-    """The rational number equal to z, or None (distinguishes 1/2 from w)."""
-    c = z.canonical_coeffs()
-    if any(v != 0 for v in c[1:]):
-        return None
-    return Fraction(c[0])
-
-
 @lru_cache(maxsize=None)
 def _w3_row(order: int) -> tuple[tuple[int, ...], int]:
     """Canonical coefficients of w_3 in Q(w_order) and their first nonzero slot above 0."""
@@ -403,55 +360,3 @@ def as_eisenstein(z: CycloNum) -> tuple[int, int] | None:
     if a is None or c[1:] != tuple(map(b.__mul__, r3[1:])):
         return None
     return a, b
-
-
-def poly_to_cyclo(p: Poly, order: int) -> tuple[CycloNum, ...]:
-    """View a rational polynomial as one with constant CycloNum coefficients."""
-    return tuple(CycloNum.from_rational(c, order) for c in p.coeffs)
-
-
-def cyclo_poly_mul(p, q) -> tuple[CycloNum, ...]:
-    """Product of two polynomials with CycloNum coefficients."""
-    if not p or not q:
-        return ()
-    order = lcm(p[0].order, q[0].order)
-    out = [CycloNum.zero(order) for _ in range(len(p) + len(q) - 1)]
-    for i, c in enumerate(p):
-        for j, d in enumerate(q):
-            out[i + j] = out[i + j] + c * d
-    return tuple(out)
-
-
-def _poly_from_root_exponents(exponents, order: int) -> tuple[CycloNum, ...]:
-    """Expand prod (x - w_order^e) for e in exponents; constant term first."""
-    coeffs: list[CycloNum] = [CycloNum.from_rational(1, order)]
-    for e in exponents:
-        r = root(order, e)
-        nxt = [CycloNum.zero(order) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * r
-        coeffs = nxt
-    return tuple(c.reduce() for c in coeffs)
-
-
-def phi3_factors(m: int, order: int) -> tuple[tuple[CycloNum, ...], tuple[CycloNum, ...]]:
-    """Split Phi_m over Q(w_3) into its two conjugate monic factors.
-
-    The first factor has the primitive m-th roots with multiplier 1 mod 3
-    as its zeros, the second those with multiplier 2 mod 3.  Both are
-    returned as coefficient tuples (constant term first) over Q(w_order);
-    the order must be a multiple of m.
-    """
-    if m % 3 != 0:
-        raise ValueError(f"factor split needs 3 | m, got m={m}")
-    if order % m != 0:
-        raise ValueError(f"order {order} does not contain the {m}-th roots")
-    step = order // m
-    f1 = _poly_from_root_exponents(
-        [a * step for a in sorted(g_units_mod3(m, 1))], order
-    )
-    f2 = _poly_from_root_exponents(
-        [a * step for a in sorted(g_units_mod3(m, 2))], order
-    )
-    return f1, f2

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import mul
+from operator import index, mul
 
 Element = tuple[int, ...]
 
@@ -47,18 +47,23 @@ class GroupSpec:
         return tuple(elems)
 
     def element(self, coords) -> Element:
-        """Reduce external coordinates modulo the respective factor orders."""
+        """Reduce external integer coordinates modulo the respective factor orders."""
         coords = tuple(coords)
         if len(coords) != len(self.moduli):
             raise ValueError(
                 f"element {coords} has {len(coords)} coordinates, expected {len(self.moduli)}"
             )
-        return tuple(int(c) % n for c, n in zip(coords, self.moduli))
+        return tuple(index(c) % n for c, n in zip(coords, self.moduli))
 
     def contains(self, x: Element) -> bool:
         return len(x) == len(self.moduli) and all(
             0 <= c < n for c, n in zip(x, self.moduli)
         )
+
+    def require_element(self, x) -> None:
+        """Raise ValueError naming x unless it is a reduced element of the group."""
+        if not self.contains(x):
+            raise ValueError(f"{x} is not a reduced element of group {self.spec_string()}")
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple((a + b) % n for a, b, n in zip(x, y, self.moduli))
@@ -82,15 +87,6 @@ class GroupSpec:
         """Elements whose order is divisible by 3."""
         return self._gamma3
 
-    def m_class(self, x: Element, r: int) -> frozenset[Element]:
-        """The multiples {k*x : 1 <= k <= ord(x), k = r (mod 3)}."""
-        if r not in (0, 1, 2):
-            raise ValueError(f"residue must be 0, 1 or 2, got {r}")
-        m = self.order_of(x)
-        if m % 3 != 0:
-            raise ValueError(f"element {x} has order {m}, not divisible by 3")
-        return frozenset(self.scale(k, x) for k in range(1, m + 1) if k % 3 == r)
-
     @cached_property
     def _lift(self) -> tuple[int, ...]:
         """The factors N/n_j that lift each coordinate's root to order N."""
@@ -109,8 +105,8 @@ class GroupSpec:
 
 
 def make_group(moduli, size_cap: int = DEFAULT_SIZE_CAP) -> GroupSpec:
-    """Build a validated GroupSpec from a list of cyclic factor orders."""
-    moduli = tuple(int(n) for n in moduli)
+    """Build a validated GroupSpec from a list of integer cyclic factor orders."""
+    moduli = tuple(map(index, moduli))
     if not moduli:
         raise ValueError("group needs at least one cyclic factor")
     for n in moduli:

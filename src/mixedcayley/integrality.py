@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice, product
 from math import prod
 from typing import Iterable, Iterator
@@ -35,8 +34,6 @@ from .cayley import (
 )
 from .cyclo import CycloNum, as_eisenstein, as_integer, root
 from .groups import Element, GroupSpec, make_group
-
-_THIRD = Fraction(1, 3)
 
 
 class ConsistencyError(RuntimeError):
@@ -65,7 +62,11 @@ class CertificateValues:
 
 
 def atom_character_sum(group: GroupSpec, x: Element, alpha: Element) -> CycloNum:
-    """Character sum over the atom of x (an adjacency eigenvalue of that atom)."""
+    """Character sum over the atom of x (an adjacency eigenvalue of that atom).
+
+    ``x`` and ``alpha`` must be reduced elements of the group.
+    """
+    group.require_element(alpha)
     return character_sum(group, alpha, [(s, 0) for s in atom_of(group, x)])
 
 
@@ -77,6 +78,7 @@ def certificate(group: GroupSpec, x: Element, alpha: Element) -> CertificateValu
     verdict rests on.
     """
     eclass = eclass_of(group, x)  # ValueError unless x is in the group and 3 divides its order
+    group.require_element(alpha)
     n = group.root_order
     forward = character_sum(group, alpha, [(s, 0) for s in eclass])
     backward = character_sum(group, alpha, [(group.neg(s), 0) for s in eclass])
@@ -115,23 +117,6 @@ def certificate(group: GroupSpec, x: Element, alpha: Element) -> CertificateValu
         imbalance_div3=t // 3,
         parity_ok=(c - t // 3) % 2 == 0,
     )
-
-
-def eisenstein_components(cs: ConnectionSet, alpha: Element) -> tuple[CycloNum, CycloNum]:
-    """The real pair (f, g) whose integrality decides Eisenstein integrality.
-
-    f is the symmetric-part character sum; g weights the skew part with
-    (1 + w6^5)/3 forward and (1 + w6)/3 backward.  The adjacency
-    eigenvalue equals f + g + w3*(g(alpha) - g(-alpha)).
-    """
-    g = cs.group
-    q6 = g.root_order // 6
-    f_val = character_sum(g, alpha, [(s, 0) for s in cs.sym_part])
-    g_terms = []
-    for s in cs.skew_part:
-        g_terms += [(s, 0), (s, 5 * q6), (g.neg(s), 0), (g.neg(s), q6)]
-    g_val = (character_sum(g, alpha, g_terms) * _THIRD).reduce()
-    return f_val, g_val
 
 
 @dataclass(frozen=True)
@@ -264,7 +249,11 @@ def enumerate_hs_integral(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of an exhaustive or sampled sweep over connection sets."""
+    """Outcome of an exhaustive or sampled sweep over connection sets.
+
+    ``budget`` is the cap the sweep was given (None for none); the sweep
+    is ``exhaustive`` when every subset fit under it.
+    """
 
     group: GroupSpec
     subsets_tested: int
@@ -272,6 +261,7 @@ class VerificationReport:
     counterexamples: tuple[dict, ...]
     seed: int
     exhaustive: bool
+    budget: int | None
 
 
 def _format_members(members) -> list[list[int]]:
@@ -399,4 +389,5 @@ def verify_theorems(
         counterexamples=tuple(counterexamples),
         seed=seed,
         exhaustive=exhaustive,
+        budget=budget,
     )

@@ -1,4 +1,4 @@
-"""Atoms, skew classes, divisor sets, and membership decompositions."""
+"""Atoms, skew classes, and membership decompositions."""
 
 from __future__ import annotations
 
@@ -9,17 +9,18 @@ from math import gcd
 import pytest
 
 from mixedcayley import (
+    a_eigenvalue,
+    atom_character_sum,
     atom_of,
-    atom_partition,
     atom_splits,
     certificate,
-    divisors_mod3,
-    divisors_not3,
     eclass_of,
     g_units,
     g_units_mod3,
+    hs_eigenvalue,
     in_boolean_algebra,
     in_skew_family,
+    make_connection_set,
     make_group,
 )
 
@@ -43,18 +44,6 @@ def test_g_units_mod3_examples():
         g_units_mod3(10, 1)
     with pytest.raises(ValueError):
         g_units_mod3(9, 0)
-
-
-def test_divisor_sets():
-    assert divisors_not3(4) == {1, 2, 4}
-    assert divisors_mod3(4, 1) == {1, 4}
-    assert divisors_mod3(4, 2) == {2}
-    assert divisors_not3(3) == {1}
-    assert divisors_mod3(3, 1) == {1}
-    assert divisors_mod3(3, 2) == set()
-    assert divisors_not3(1) == {1}
-    for g in range(1, 30):
-        assert divisors_not3(g) == divisors_mod3(g, 1) | divisors_mod3(g, 2)
 
 
 def test_atom_of_examples():
@@ -120,12 +109,12 @@ def test_index_matches_generator_sets_in_order_of_least_member():
             expected[atom] = tuple(sorted(classes, key=min))
         ordered = sorted(expected.items(), key=lambda pair: min(pair[0]))
         assert list(atom_splits(g)) == ordered
-        assert atom_partition(g) == [atom for atom, _ in ordered]
 
 
-@pytest.mark.parametrize("x", [(10,), (1, 2)])
+@pytest.mark.parametrize("x", [(10,), (1, 2), ()])
 def test_foreign_element_raises_value_error_naming_it(x):
     g = make_group([9])
+    cs = make_connection_set(g, {(1,), (3,)})
     lookups = [
         lambda: atom_of(g, x),
         lambda: eclass_of(g, x),
@@ -134,6 +123,11 @@ def test_foreign_element_raises_value_error_naming_it(x):
         lambda: in_skew_family(g, {x}),
         lambda: in_skew_family(g, {(1,), (4,), (7,), x}),
         lambda: certificate(g, x, (1,)),
+        # x as a character index alpha
+        lambda: hs_eigenvalue(cs, x),
+        lambda: a_eigenvalue(cs, x),
+        lambda: atom_character_sum(g, (1,), x),
+        lambda: certificate(g, (1,), x),
     ]
     for lookup in lookups:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(x))} is not a reduced element"):
@@ -143,7 +137,7 @@ def test_foreign_element_raises_value_error_naming_it(x):
 def test_atoms_partition_group():
     for mods in ([12], [9], [2, 6], [3, 3], [2, 2, 2]):
         g = make_group(mods)
-        atoms = atom_partition(g)
+        atoms = [atom for atom, _ in atom_splits(g)]
         assert sum(len(a) for a in atoms) == g.order
         assert frozenset().union(*atoms) == set(g.elements)
         for x in g.elements:
@@ -162,25 +156,26 @@ def test_atom_splits_into_skew_classes():
 
 
 def test_m_class_decomposes_into_classes():
+    """M_r(x) = {k*x : 1 <= k <= ord(x), k = r (mod 3)} is a union of skew classes."""
     for mods in ([9], [12], [18], [3, 9]):
         g = make_group(mods)
         for x in sorted(g.gamma3()):
-            gg = g.order_of(x) // 3
-            m1 = g.m_class(x, 1)
-            m2 = g.m_class(x, 2)
+            m = g.order_of(x)
+            m1, m2 = ({g.scale(k, x) for k in range(1, m + 1) if k % 3 == r} for r in (1, 2))
+            # the divisors h of ord(x)/3 with h = 1, and with h = 2 (mod 3)
+            gg = m // 3
+            d1, d2 = ([h for h in range(1, gg + 1) if gg % h == 0 and h % 3 == r] for r in (1, 2))
             from_classes_1 = frozenset().union(
-                *(eclass_of(g, g.scale(h, x)) for h in divisors_mod3(gg, 1)),
-                *(eclass_of(g, g.neg(g.scale(h, x))) for h in divisors_mod3(gg, 2)),
+                *(eclass_of(g, g.scale(h, x)) for h in d1),
+                *(eclass_of(g, g.neg(g.scale(h, x))) for h in d2),
             )
             from_classes_2 = frozenset().union(
-                *(eclass_of(g, g.neg(g.scale(h, x))) for h in divisors_mod3(gg, 1)),
-                *(eclass_of(g, g.scale(h, x)) for h in divisors_mod3(gg, 2)),
+                *(eclass_of(g, g.neg(g.scale(h, x))) for h in d1),
+                *(eclass_of(g, g.scale(h, x)) for h in d2),
             )
             assert m1 == from_classes_1
             assert m2 == from_classes_2
-            from_atoms = frozenset().union(
-                *(atom_of(g, g.scale(h, x)) for h in divisors_not3(gg))
-            )
+            from_atoms = frozenset().union(*(atom_of(g, g.scale(h, x)) for h in d1 + d2))
             assert m1 | m2 == from_atoms
 
 

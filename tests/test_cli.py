@@ -234,6 +234,7 @@ def test_cli_verify_schema_and_determinism():
     payload = json.loads(out1)
     assert set(payload) == {
         "group", "subsets_tested", "hs_integral_count", "counterexamples", "seed",
+        "exhaustive", "budget",
     }
     assert payload["subsets_tested"] == 256
     assert payload["hs_integral_count"] == 16
@@ -242,6 +243,23 @@ def test_cli_verify_schema_and_determinism():
     assert out1 == out2
     _, out3, _ = run_cli("verify", "--group", "9", "--jobs", "2")
     assert out1 == out3
+
+
+@pytest.mark.parametrize(
+    "argv, exhaustive, budget, tested",
+    [
+        (("verify", "--group", "9"), True, 4096, 256),
+        (("verify", "--group", "12", "--budget", "8"), False, 8, 8),
+    ],
+    ids=["exhaustive", "sampled"],
+)
+def test_cli_verify_says_whether_it_sampled(argv, exhaustive, budget, tested):
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exhaustive"] is exhaustive
+    assert payload["budget"] == budget
+    assert payload["subsets_tested"] == tested
 
 
 @pytest.mark.parametrize(
@@ -411,7 +429,7 @@ GOLDEN_STDOUT = [
       "--format", "text"),
      "ae380c2da56e675acd1935c18630d8d46c1440354d0490a8858a4c71437b53df"),
     (("verify", "--group", "2x6"),
-     "4d56d93f64247a9d5312066386eace9aab0d4ca6142286edf9f1ac281ca1ac50"),
+     "92b11fe310b34947ad52accd48510d57f4adb79f9b0a1c87e703e245fe6775d4"),
     (("atoms", "--group", "12"),
      "7efbc56c082ecc8ff673ac7965b84e6991b7b593cb48a47a6dfcfba99dcea7b5"),
     (("enumerate", "--group", "2x2x2x2", "--budget", "50"),

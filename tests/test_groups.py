@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedcayley import make_group, parse_group
+from mixedcayley import make_connection_set, make_group, parse_group
 
 
 def brute_order(g, x):
@@ -70,6 +71,20 @@ def test_element_reduction_and_arity():
         g.element((1,))
 
 
+def test_non_integral_inputs_raise_type_error():
+    with pytest.raises(TypeError):
+        make_group([6.9])
+    g = make_group([7])
+    with pytest.raises(TypeError):
+        g.element((2.5,))
+    with pytest.raises(TypeError):
+        make_connection_set(g, [(2.5,), (3.9,)])
+    # integer types other than int still pass, as plain ints
+    assert make_group([np.int64(7)]) == g
+    x = g.element((np.int64(9),))
+    assert x == (2,) and type(x[0]) is int
+
+
 def test_order_of_examples():
     assert make_group([12]).order_of((5,)) == 12
     assert make_group([3, 3]).order_of((0, 1)) == 3
@@ -98,21 +113,22 @@ def test_gamma3_examples():
     assert g.gamma3() == {x for x in g.elements if x != g.zero}
 
 
+def m_class(g, x, r):
+    """The multiples M_r(x) = {k*x : 1 <= k <= ord(x), k = r (mod 3)}."""
+    return {g.scale(k, x) for k in range(1, g.order_of(x) + 1) if k % 3 == r}
+
+
 def test_m_class_examples():
     g = make_group([9])
-    assert g.m_class((1,), 1) == {(1,), (4,), (7,)}
-    assert g.m_class((1,), 0) == {(3,), (6,), (0,)}
-    with pytest.raises(ValueError):
-        g.m_class((1,), 3)
-    with pytest.raises(ValueError):
-        make_group([4]).m_class((1,), 1)
+    assert m_class(g, (1,), 1) == {(1,), (4,), (7,)}
+    assert m_class(g, (1,), 0) == {(3,), (6,), (0,)}
 
 
 def test_m_class_negation_and_partition():
     for mods in ([9], [12], [3, 3], [2, 6]):
         g = make_group(mods)
         for x in sorted(g.gamma3()):
-            m0, m1, m2 = (g.m_class(x, r) for r in (0, 1, 2))
+            m0, m1, m2 = (m_class(g, x, r) for r in (0, 1, 2))
             assert {g.neg(y) for y in m1} == m2
             subgroup = {g.scale(k, x) for k in range(g.order_of(x))}
             assert m0 | m1 | m2 == subgroup
@@ -123,7 +139,7 @@ def test_m_class_translation_invariance():
     for mods in ([9], [18], [3, 3]):
         g = make_group(mods)
         for x in sorted(g.gamma3()):
-            m0, m1, m2 = (g.m_class(x, r) for r in (0, 1, 2))
+            m0, m1, m2 = (m_class(g, x, r) for r in (0, 1, 2))
             for a in m0:
                 assert {g.add(a, y) for y in m1} == m1
                 assert {g.add(a, y) for y in m2} == m2
