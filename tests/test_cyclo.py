@@ -176,7 +176,16 @@ def test_as_integer_examples():
     assert as_integer(root(3, 1)) is None
     z = 2 * root(6, 1) * root(3, 1) + 2 * root(6, 5) * root(3, 2)
     assert as_integer(z) == -4
-    assert as_integer(CycloNum.from_rational(Fraction(1, 2), 6)) is None
+
+
+def test_as_rational_distinguishes():
+    half = CycloNum.from_rational(Fraction(1, 2), 6)
+    assert as_integer(half) is None
+    assert as_eisenstein(half) is None
+    c = half.canonical_coeffs()
+    assert c[0] == Fraction(1, 2) and not any(c[1:])
+    assert as_integer(2 * half) == 1
+    assert any(root(3, 1).canonical_coeffs()[1:])
 
 
 def test_as_eisenstein_examples():
