@@ -7,17 +7,19 @@ and the Eisenstein view of the latter's adjacency spectrum.
 
 from __future__ import annotations
 
-import json
+import sys
 
 from mixedcayley import as_eisenstein, as_integer, classify, make_group
-from mixedcayley.cli import classification_to_json, format_element
+from mixedcayley.cli import format_element, format_set, run
 
 
 def show(title: str, members) -> None:
     g = make_group([3, 3])
     report = classify(g, members)
     print(f"== {title} ==")
-    print(json.dumps(classification_to_json(report), indent=2))
+    code = run(["classify", "--group", "3x3", "--set", format_set(members, g)])
+    if code:
+        sys.exit(code)
     hs = [as_integer(v) for v in report.hs_spectrum.entries.values()]
     print("HS eigenvalues (lex alpha order):", hs)
     print("adjacency eigenvalues as a + b*w3:")

@@ -163,10 +163,6 @@ def _spectrum_entries(spectrum: ExactSpectrum) -> Iterator[dict]:
         yield {"alpha": list(alpha), "value": cyclo_to_json(value)}
 
 
-def spectrum_to_json(spectrum: ExactSpectrum) -> list[dict]:
-    return list(_spectrum_entries(spectrum))
-
-
 def _class_json(rep: Element, cls: frozenset[Element]) -> dict:
     return {"rep": list(rep), "members": [list(x) for x in sorted(cls)]}
 
@@ -178,11 +174,8 @@ def decomposition_to_json(dec: AtomDecomposition | None) -> list[dict] | None:
 
 
 def classification_to_json(report: ClassificationReport) -> dict:
-    return _classification_json(report, spectrum_to_json)
-
-
-def _classification_json(report: ClassificationReport, entries) -> dict:
-    """The classify document; ``entries`` turns each spectrum into its JSON list."""
+    """The classify document; each spectrum is an iterator of its entries,
+    made one alpha at a time as it is written."""
     g = report.group
     return {
         "group": g.spec_string(),
@@ -191,8 +184,8 @@ def _classification_json(report: ClassificationReport, entries) -> dict:
         "eisenstein_integral": report.eisenstein_verdict_spectral,
         "sym_atoms": decomposition_to_json(report.sym_decomposition),
         "skew_classes": decomposition_to_json(report.skew_decomposition),
-        "hs_spectrum": entries(report.hs_spectrum),
-        "a_spectrum": entries(report.a_spectrum),
+        "hs_spectrum": _spectrum_entries(report.hs_spectrum),
+        "a_spectrum": _spectrum_entries(report.a_spectrum),
         "consistent": report.consistency,
     }
 
@@ -209,79 +202,47 @@ def verification_to_json(report: VerificationReport) -> dict:
     }
 
 
-def _write_json(obj, out, newline: str) -> None:
-    """Append the indented JSON text of ``obj`` to ``out``, piece by piece.
-
-    ``out`` is anything with ``append``: a list, or a sink that streams.
-    An iterator is written as a list and consumed as it is written.
-    """
+def _write_json(obj, write, newline: str) -> None:
+    """Pass the text of ``json.dumps(obj, indent=2)`` to ``write``, piece by
+    piece, without the pure-Python encoder, for str-keyed dicts, lists,
+    tuples, str, int, bool, None and iterators, which are written as lists
+    and consumed as they are written."""
     if isinstance(obj, str):
-        out.append(_quote(obj))
+        write(_quote(obj))
     elif obj is None:
-        out.append("null")
+        write("null")
     elif obj is True:
-        out.append("true")
+        write("true")
     elif obj is False:
-        out.append("false")
+        write("false")
     elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+        write(int.__repr__(obj))
     elif isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            write("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
-            out.append(sep + _quote(key) + ": ")
-            _write_json(value, out, inner)
+            write(sep + _quote(key) + ": ")
+            _write_json(value, write, inner)
             sep = "," + inner
-        out.append(newline + "}")
+        write(newline + "}")
     elif isinstance(obj, (list, tuple)) and obj and all(map(isinstance, obj, repeat(str))):
         inner = newline + "  "
-        out.append("[" + inner + ("," + inner).join(map(_quote, obj)) + newline + "]")
+        write("[" + inner + ("," + inner).join(map(_quote, obj)) + newline + "]")
     elif isinstance(obj, (list, tuple, Iterator)):
         inner = newline + "  "
         opening = sep = "[" + inner
         for value in obj:
-            out.append(sep)
-            _write_json(value, out, inner)
+            write(sep)
+            _write_json(value, write, inner)
             sep = "," + inner
-        out.append("[]" if sep is opening else newline + "]")
+        write("[]" if sep is opening else newline + "]")
     else:
         raise TypeError(f"cannot write {type(obj).__name__} as JSON")
-
-
-def _dump_json(obj) -> str:
-    """The text of ``json.dumps(obj, indent=2)`` for str-keyed dicts, lists,
-    tuples, str, int, bool and None, written without the pure-Python encoder."""
-    out: list[str] = []
-    _write_json(obj, out, "\n")
-    return "".join(out)
-
-
-_CHUNK = 1 << 16  # characters a streamed document collects between writes
-
-
-class _ChunkSink:
-    """A ``_write_json`` sink that passes its text to ``write`` in chunks."""
-
-    def __init__(self, write):
-        self._write = write
-        self._pieces: list[str] = []
-        self._size = 0
-
-    def append(self, piece: str) -> None:
-        self._pieces.append(piece)
-        self._size += len(piece)
-        if self._size >= _CHUNK:
-            self.flush()
-
-    def flush(self) -> None:
-        self._write("".join(self._pieces))
-        self._pieces.clear()
-        self._size = 0
 
 
 @contextmanager
@@ -304,12 +265,10 @@ def _emit(text: str, out_path: str | None, stream: IO[str]) -> None:
 
 
 def _emit_json(obj, out_path: str | None, stream: IO[str]) -> None:
-    """Write ``_dump_json(obj)`` and a newline, streamed in chunks as it is made."""
+    """Write ``obj`` as indented JSON and a newline, piece by piece as it is made."""
     with _opened(out_path, stream) as fh:
-        sink = _ChunkSink(fh.write)
-        _write_json(obj, sink, "\n")
-        sink.append("\n")
-        sink.flush()
+        _write_json(obj, fh.write, "\n")
+        fh.write("\n")
 
 
 def _classification_text(report: ClassificationReport) -> str:
@@ -335,7 +294,7 @@ def _run_classify(args, stdout: IO[str]) -> int:
     elif args.format == "text":
         _emit(_classification_text(report), args.out, stdout)
     else:
-        _emit_json(_classification_json(report, _spectrum_entries), args.out, stdout)
+        _emit_json(classification_to_json(report), args.out, stdout)
     return 0 if report.consistency else 2
 
 

@@ -56,9 +56,13 @@ class GroupSpec:
         return tuple(index(c) % n for c, n in zip(coords, self.moduli))
 
     def contains(self, x: Element) -> bool:
-        return len(x) == len(self.moduli) and all(
-            0 <= c < n for c, n in zip(x, self.moduli)
-        )
+        """True when x has one reduced int coordinate per factor; a float is foreign."""
+        if len(x) != len(self.moduli):
+            return False
+        try:
+            return all(0 <= index(c) < n for c, n in zip(x, self.moduli))
+        except TypeError:
+            return False
 
     def require_element(self, x) -> None:
         """Raise ValueError naming x unless it is a reduced element of the group."""

@@ -111,7 +111,7 @@ def test_index_matches_generator_sets_in_order_of_least_member():
         assert list(atom_splits(g)) == ordered
 
 
-@pytest.mark.parametrize("x", [(10,), (1, 2), ()])
+@pytest.mark.parametrize("x", [(10,), (1, 2), (), (1.5,)])
 def test_foreign_element_raises_value_error_naming_it(x):
     g = make_group([9])
     cs = make_connection_set(g, {(1,), (3,)})

@@ -10,7 +10,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,6 @@ from mixedcayley import make_group, parse_group
 import mixedcayley.cli as cli_mod
 from mixedcayley.cli import (
     SetSpecError,
-    _dump_json,
     _emit_json,
     classification_to_json,
     cyclo_to_json,
@@ -158,7 +156,7 @@ def test_classification_json_schema():
     }
     assert payload["hs_integral"] is True
     assert payload["consistent"] is True
-    assert len(payload["hs_spectrum"]) == 9
+    assert len(list(payload["hs_spectrum"])) == 9
 
 
 def test_cli_classify_json_and_exit_code():
@@ -471,18 +469,37 @@ json_values = st.recursive(
 )
 
 
+def _lazy(value):
+    """The same JSON value with every list turned into a one-shot iterator."""
+    if isinstance(value, dict):
+        return {k: _lazy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return iter([_lazy(v) for v in value])
+    return value
+
+
+def emitted(value) -> str:
+    out = io.StringIO()
+    _emit_json(value, None, out)
+    return out.getvalue()
+
+
 @given(json_values)
 @settings(max_examples=300, deadline=None)
-def test_dump_json_matches_json_dumps_indent_2(value):
-    assert _dump_json(value) == json.dumps(value, indent=2)
+def test_emit_json_matches_json_dumps_indent_2(value):
+    expected = json.dumps(value, indent=2) + "\n"
+    assert emitted(value) == expected
+    assert emitted(_lazy(value)) == expected
 
 
-def test_dump_json_edge_cases():
+def test_emit_json_edge_cases():
     for value in ([], {}, (), [[]], {"a": {}}, ["x", 1], [True, False, None], -(2**100)):
-        assert _dump_json(value) == json.dumps(value, indent=2)
+        expected = json.dumps(value, indent=2) + "\n"
+        assert emitted(value) == expected
+        assert emitted(_lazy(value)) == expected
     for bad in (1.5, {1: "a"}, {"a": {1, 2}}):
         with pytest.raises(TypeError):
-            _dump_json(bad)
+            emitted(bad)
 
 
 # -- streamed output: classify and spectrum write one alpha entry at a
@@ -551,22 +568,3 @@ def test_line_output_reaches_the_stream_in_several_writes(argv):
     assert run(list(argv), stdout=stream, stderr=io.StringIO()) == 0
     assert len(stream.writes) > 1
     assert hashlib.sha256("".join(stream.writes).encode()).hexdigest() == digest
-
-
-def _lazy(value):
-    """The same JSON value with every list turned into a one-shot iterator."""
-    if isinstance(value, dict):
-        return {k: _lazy(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return iter([_lazy(v) for v in value])
-    return value
-
-
-@given(json_values, st.sampled_from([1, 7, 1 << 16]))
-@settings(max_examples=200, deadline=None)
-def test_streamed_json_matches_dump_json(value, chunk):
-    with mock.patch.object(cli_mod, "_CHUNK", chunk):
-        for payload in (value, _lazy(value)):
-            out = io.StringIO()
-            _emit_json(payload, None, out)
-            assert out.getvalue() == _dump_json(value) + "\n"

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,8 @@ from mixedcayley import (
     verify_theorems,
 )
 from mixedcayley.cayley import character_sum
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # all abelian groups of order <= 12, one presentation per isomorphism class
 SMALL_GROUPS = (
@@ -313,3 +319,44 @@ def test_verify_parallel_matches_serial():
     assert serial.hs_integral_count == parallel.hs_integral_count
     assert serial.subsets_tested == parallel.subsets_tested
     assert serial.counterexamples == parallel.counterexamples
+
+
+# Run with the address space capped at 512 MiB, so that a sweep that builds
+# its masks fails fast with MemoryError instead of filling the machine.
+OVER_THE_CAP = """
+import resource
+from mixedcayley import make_group, verify_theorems
+from mixedcayley.cli import run
+
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+sweeps = {
+    "exhaustive": lambda: verify_theorems(make_group([40])),
+    "sampled": lambda: verify_theorems(make_group([64]), budget=1 << 40),
+}
+for name, sweep in sweeps.items():
+    try:
+        sweep()
+    except ValueError as exc:
+        print(name, exc)
+print("cli", run(["verify", "--group", "40", "--budget", str(1 << 40)]))
+"""
+
+
+def test_verify_refuses_a_sweep_over_the_cap():
+    proc = subprocess.run(
+        [sys.executable, "-c", OVER_THE_CAP],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    over = "subsets exceed the sweep cap of 1048576; use a smaller budget"
+    assert proc.stdout.splitlines() == [
+        f"exhaustive {1 << 39} {over}",
+        f"sampled {1 << 40} {over}",
+        "cli 1",
+    ]
+    assert proc.stderr == f"error: {1 << 39} {over}\n"
+    # a budget past the cap is fine when the exhaustive total is under it
+    assert verify_theorems(make_group([9]), budget=1 << 40).subsets_tested == 256
