@@ -486,10 +486,18 @@ def emitted(value) -> str:
 
 @given(json_values)
 @settings(max_examples=300, deadline=None)
-def test_emit_json_matches_json_dumps_indent_2(value):
-    expected = json.dumps(value, indent=2) + "\n"
-    assert emitted(value) == expected
-    assert emitted(_lazy(value)) == expected
+def test_dump_json_matches_json_dumps_indent_2(value):
+    assert emitted(value) == json.dumps(value, indent=2) + "\n"
+
+
+@given(json_values)
+@settings(max_examples=200, deadline=None)
+def test_streamed_json_matches_dump_json(value):
+    """Lists given as one-shot iterators are written piece by piece, and the
+    pieces join to the same document json.dumps makes of the eager value."""
+    stream = RecordingStream()
+    _emit_json(_lazy(value), None, stream)
+    assert "".join(stream.writes) == json.dumps(value, indent=2) + "\n"
 
 
 def test_emit_json_edge_cases():
