@@ -20,10 +20,10 @@ def show(title: str, members) -> None:
     code = run(["classify", "--group", "3x3", "--set", format_set(members, g)])
     if code:
         sys.exit(code)
-    hs = [as_integer(v) for v in report.hs_spectrum.entries.values()]
+    hs = [as_integer(v) for v in report.hs_spectrum.values()]
     print("HS eigenvalues (lex alpha order):", hs)
     print("adjacency eigenvalues as a + b*w3:")
-    for alpha, value in report.a_spectrum.entries.items():
+    for alpha, value in report.a_spectrum.items():
         print(f"  alpha={format_element(alpha, g)}  (a,b)={as_eisenstein(value)}")
     print()
 

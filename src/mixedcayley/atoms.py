@@ -109,15 +109,11 @@ class AtomDecomposition:
     ``classes[i]``; classes are listed in representative order.
     """
 
-    kind: str  # "boolean_atoms" or "skew_classes"
     representatives: tuple[Element, ...]
     classes: tuple[frozenset[Element], ...]
 
-    def union(self) -> frozenset[Element]:
-        return frozenset().union(*self.classes)
 
-
-def _decompose(group: GroupSpec, members, class_of, kind: str) -> AtomDecomposition | None:
+def _decompose(group: GroupSpec, members, class_of) -> AtomDecomposition | None:
     """The distinct classes of the members, or None if one is not a subset."""
     members = frozenset(members)
     try:
@@ -128,14 +124,12 @@ def _decompose(group: GroupSpec, members, class_of, kind: str) -> AtomDecomposit
     if not all(cls <= members for cls in classes):
         return None
     ordered = sorted(classes, key=min)
-    return AtomDecomposition(
-        kind=kind, representatives=tuple(map(min, ordered)), classes=tuple(ordered)
-    )
+    return AtomDecomposition(representatives=tuple(map(min, ordered)), classes=tuple(ordered))
 
 
 def in_boolean_algebra(group: GroupSpec, members) -> AtomDecomposition | None:
     """Decompose a set into whole atoms, or None if some atom is cut."""
-    return _decompose(group, members, _class_index(group).atom, "boolean_atoms")
+    return _decompose(group, members, _class_index(group).atom)
 
 
 def in_skew_family(group: GroupSpec, members) -> AtomDecomposition | None:
@@ -153,4 +147,4 @@ def in_skew_family(group: GroupSpec, members) -> AtomDecomposition | None:
             return None
         if group.neg(x) in members:
             return None
-    return _decompose(group, members, eclasses, "skew_classes")
+    return _decompose(group, members, eclasses)

@@ -135,24 +135,12 @@ def a_eigenvalue(cs: ConnectionSet, alpha: Element) -> CycloNum:
     return character_sum(cs.group, alpha, _terms(cs, "adjacency"))
 
 
-@dataclass(frozen=True)
-class ExactSpectrum:
-    """Map from character index alpha to an exact eigenvalue."""
-
-    kind: str
-    entries: dict[Element, CycloNum]
-
-    def values(self) -> list[CycloNum]:
-        return list(self.entries.values())
-
-
-def exact_spectrum(cs: ConnectionSet, kind: str = "hs") -> ExactSpectrum:
-    """All eigenvalues of the requested matrix, indexed by alpha in lex order."""
+def exact_spectrum(cs: ConnectionSet, kind: str = "hs") -> dict[Element, CycloNum]:
+    """All eigenvalues of the requested matrix, keyed by alpha in lex order."""
     if kind not in SPECTRUM_KINDS:
         raise ValueError(f"unknown spectrum kind {kind!r}, expected one of {SPECTRUM_KINDS}")
     terms = _terms(cs, kind)
-    entries = {alpha: character_sum(cs.group, alpha, terms) for alpha in cs.group.elements}
-    return ExactSpectrum(kind=kind, entries=entries)
+    return {alpha: character_sum(cs.group, alpha, terms) for alpha in cs.group.elements}
 
 
 def hermitian_complex(m: MixedGraphMatrices) -> np.ndarray:

@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import IO
 
 from .atoms import AtomDecomposition, atom_splits
-from .cayley import ExactSpectrum, exact_spectrum, make_connection_set, to_dot
+from .cayley import exact_spectrum, make_connection_set, to_dot
 from .cyclo import CycloNum
 from .groups import Element, GroupSpec, parse_group
 from .integrality import (
@@ -130,9 +130,9 @@ def format_set(members, group: GroupSpec) -> str:
     return ",".join(format_element(x, group) for x in sorted(members))
 
 
-def _approx_text(reduced: CycloNum) -> str:
-    """A canonical-form value as "<re>+<im>i" with 12 decimal places."""
-    approx = reduced.to_complex()
+def _approx_text(z: CycloNum) -> str:
+    """A value as "<re>+<im>i" with 12 decimal places."""
+    approx = z.to_complex()
     re = approx.real + 0.0
     im = approx.imag + 0.0
     return f"{re:.12f}{im:+.12f}i"
@@ -145,21 +145,20 @@ def cyclo_to_json(z: CycloNum) -> dict:
     numerator when the denominator is 1.  A zero, int or Fraction, is "0",
     so only the nonzero slots are converted.
     """
-    reduced = z.reduce()
-    cs = reduced.coeffs
+    cs = z.coeffs
     text = ["0"] * len(cs)
     for j in compress(range(len(cs)), cs):
         text[j] = str(cs[j])
     return {
         "order": z.order,
         "coeffs": text,
-        "approx": _approx_text(reduced),
+        "approx": _approx_text(z),
     }
 
 
-def _spectrum_entries(spectrum: ExactSpectrum) -> Iterator[dict]:
+def _spectrum_entries(spectrum: dict[Element, CycloNum]) -> Iterator[dict]:
     """The JSON entries of a spectrum, made one alpha at a time."""
-    for alpha, value in spectrum.entries.items():
+    for alpha, value in spectrum.items():
         yield {"alpha": list(alpha), "value": cyclo_to_json(value)}
 
 
@@ -305,8 +304,8 @@ def _run_spectrum(args, stdout: IO[str]) -> int:
     spectrum = exact_spectrum(cs, args.kind)
     if args.format == "text":
         with _opened(args.out, stdout) as fh:
-            for alpha, value in spectrum.entries.items():
-                fh.write(f"{format_element(alpha, group)}  {_approx_text(value.reduce())}\n")
+            for alpha, value in spectrum.items():
+                fh.write(f"{format_element(alpha, group)}  {_approx_text(value)}\n")
     else:
         payload = {
             "group": group.spec_string(),

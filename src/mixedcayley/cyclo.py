@@ -1,13 +1,12 @@
 """Exact arithmetic in the cyclotomic field Q(w_N).
 
 A CycloNum holds exact rational coefficients over the power basis
-1, w, ..., w^{N-1}, where w = exp(2*pi*i/N); the vector may stop early,
-and missing trailing slots are zero.  Canonical forms are polynomial
-remainders modulo the N-th cyclotomic polynomial and keep exactly
-totient(N) coefficients, so equality,
-integer membership and Eisenstein membership are coefficient inspections;
-no floating point ever enters a verdict.  Mixed-order operands are lifted
-to the lcm of their orders by scaling exponents.
+1, w, ..., w^{N-1}, where w = exp(2*pi*i/N), always in canonical form:
+the polynomial remainder modulo the N-th cyclotomic polynomial, exactly
+totient(N) coefficients.  So equality, integer membership and Eisenstein
+membership are coefficient inspections; no floating point ever enters a
+verdict.  Mixed-order operands are lifted to the lcm of their orders by
+scaling exponents.
 
 Coefficients may be Python ints or Fractions; both are exact rationals
 and interoperate freely.
@@ -161,9 +160,10 @@ def _unit_roots(order: int) -> tuple[complex, ...]:
 class CycloNum:
     """An exact element of Q(w_N): value = sum_j coeffs[j] * w_N^j.
 
-    ``coeffs`` has at most N entries; slots past its end are zero.  A
-    reduced value has exactly totient(N) of them.  Arithmetic takes
-    CycloNum, int and Fraction operands; anything else is a TypeError.
+    ``coeffs`` always holds exactly the totient(N) canonical coefficients:
+    the constructor takes any vector of at most N entries, slots past its
+    end being zero, and reduces it.  Arithmetic takes CycloNum, int and
+    Fraction operands; anything else is a TypeError.
     """
 
     order: int
@@ -176,6 +176,8 @@ class CycloNum:
             raise ValueError(
                 f"coefficient vector has length {len(self.coeffs)}, more than {self.order}"
             )
+        if len(self.coeffs) != totient(self.order):
+            _set_coeffs(self, _reduce(self.order, self.coeffs).coeffs)
 
     @staticmethod
     def from_rational(value: Rational, order: int = 1) -> CycloNum:
@@ -188,7 +190,7 @@ class CycloNum:
         if order % self.order != 0:
             raise ValueError(f"cannot lift order {self.order} to {order}")
         step = order // self.order
-        out: list[Rational] = [0] * ((len(self.coeffs) - 1) * step + 1)  # [] when empty
+        out: list[Rational] = [0] * ((len(self.coeffs) - 1) * step + 1)
         out[::step] = self.coeffs
         return CycloNum(order, tuple(out))
 
@@ -205,15 +207,12 @@ class CycloNum:
             a, b = self._common(other)
         else:
             return NotImplemented
-        x, y = a.coeffs, b.coeffs
-        if len(x) < len(y):
-            x, y = y, x
-        return _cyclo(a.order, tuple(map(operator.add, x, y)) + x[len(y):])
+        return _cyclo(a.order, tuple(map(operator.add, a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self) -> CycloNum:
-        return CycloNum(self.order, tuple(-c for c in self.coeffs))
+        return _cyclo(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> CycloNum:
         if not isinstance(other, (CycloNum, int, Fraction)):
@@ -227,7 +226,7 @@ class CycloNum:
 
     def __mul__(self, other) -> CycloNum:
         if isinstance(other, (int, Fraction)):
-            return CycloNum(self.order, tuple(c * other for c in self.coeffs))
+            return _cyclo(self.order, tuple(c * other for c in self.coeffs))
         if not isinstance(other, CycloNum):
             return NotImplemented
         a, b = self._common(other)
@@ -239,26 +238,16 @@ class CycloNum:
             for j, d in enumerate(b.coeffs):
                 if d != 0:
                     out[(i + j) % n] += c * d
-        return CycloNum(n, tuple(out))
+        return _reduce(n, out)
 
     __rmul__ = __mul__
 
     def reduce(self) -> CycloNum:
-        """Canonical form: the remainder modulo Phi_N, totient(N) coefficients."""
-        phi = totient(self.order)
-        cs = self.coeffs
-        if len(cs) == phi:
-            return self
-        if any(cs[phi:]):
-            return _reduce(self.order, cs)
-        return _cyclo(self.order, cs[:phi] + (0,) * (phi - len(cs)))
-
-    def canonical_coeffs(self) -> tuple[Rational, ...]:
-        """The totient(N) coefficients of the reduced form."""
-        return self.reduce().coeffs
+        """The canonical form, which every value already is: ``self``."""
+        return self
 
     def is_zero(self) -> bool:
-        return not any(self.canonical_coeffs())
+        return not any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -266,7 +255,7 @@ class CycloNum:
         if not isinstance(other, CycloNum):
             return NotImplemented
         a, b = self._common(other)
-        return a.canonical_coeffs() == b.canonical_coeffs()
+        return a.coeffs == b.coeffs
 
     def to_complex(self) -> complex:
         roots = _unit_roots(self.order)
@@ -279,7 +268,7 @@ class CycloNum:
     def __repr__(self) -> str:
         terms = [
             f"{c}*w^{j}" if j else f"{c}"
-            for j, c in enumerate(self.reduce().coeffs)
+            for j, c in enumerate(self.coeffs)
             if c != 0
         ]
         body = " + ".join(terms) if terms else "0"
@@ -293,7 +282,7 @@ _set_coeffs = CycloNum.coeffs.__set__
 
 def _cyclo(order: int, coeffs: tuple[Rational, ...]) -> CycloNum:
     """CycloNum(order, coeffs) without ``__post_init__``, for a vector that
-    is valid by construction: order >= 1 and at most ``order`` slots."""
+    is canonical by construction: order >= 1 and totient(order) slots."""
     z = _new_object(CycloNum)
     _set_order(z, order)
     _set_coeffs(z, coeffs)
@@ -324,7 +313,7 @@ def _as_int(v: Rational) -> int | None:
 
 def as_integer(z: CycloNum) -> int | None:
     """The rational integer equal to z, or None if z is not one."""
-    c = z.canonical_coeffs()
+    c = z.coeffs
     if any(c[1:]):
         return None
     return _as_int(c[0])
@@ -333,7 +322,7 @@ def as_integer(z: CycloNum) -> int | None:
 @lru_cache(maxsize=None)
 def _w3_row(order: int) -> tuple[tuple[int, ...], int]:
     """Canonical coefficients of w_3 in Q(w_order) and their first nonzero slot above 0."""
-    r3 = root(order, order // 3).canonical_coeffs()
+    r3 = root(order, order // 3).coeffs
     pivot = next((k for k in range(1, len(r3)) if r3[k] != 0), None)
     if pivot is None:
         raise ArithmeticError("w_3 reduced to a rational number; broken reduction")
@@ -348,7 +337,7 @@ def as_eisenstein(z: CycloNum) -> tuple[int, int] | None:
     must be integers, and z must equal a + b*w_3 in every other slot.
     """
     n = lcm(z.order, 3)
-    c = z.lift(n).canonical_coeffs()
+    c = z.lift(n).coeffs
     r3, pivot = _w3_row(n)
     cp = _as_int(c[pivot])
     if cp is None:

@@ -108,7 +108,7 @@ class GroupSpec:
         return "x".join(str(n) for n in self.moduli)
 
 
-def make_group(moduli, size_cap: int = DEFAULT_SIZE_CAP) -> GroupSpec:
+def make_group(moduli) -> GroupSpec:
     """Build a validated GroupSpec from a list of integer cyclic factor orders."""
     moduli = tuple(map(index, moduli))
     if not moduli:
@@ -117,15 +117,15 @@ def make_group(moduli, size_cap: int = DEFAULT_SIZE_CAP) -> GroupSpec:
         if n < 1:
             raise ValueError(f"cyclic factor order must be >= 1, got {n}")
     order = prod(moduli)
-    if order > size_cap:
-        raise ValueError(f"group order {order} exceeds size cap {size_cap}")
+    if order > DEFAULT_SIZE_CAP:
+        raise ValueError(f"group order {order} exceeds size cap {DEFAULT_SIZE_CAP}")
     exponent = lcm(*moduli)
     return GroupSpec(
         moduli=moduli, order=order, exponent=exponent, root_order=lcm(6, exponent)
     )
 
 
-def parse_group(spec: str, size_cap: int = DEFAULT_SIZE_CAP) -> GroupSpec:
+def parse_group(spec: str) -> GroupSpec:
     """Parse a group string like "12" or "3x3" into a GroupSpec."""
     parts = spec.strip().lower().split("x")
     try:
@@ -134,4 +134,4 @@ def parse_group(spec: str, size_cap: int = DEFAULT_SIZE_CAP) -> GroupSpec:
         raise ValueError(
             f"bad group spec {spec!r}: expected integers joined by 'x', e.g. '3x3'"
         ) from None
-    return make_group(moduli, size_cap=size_cap)
+    return make_group(moduli)

@@ -27,7 +27,6 @@ from .atoms import (
 )
 from .cayley import (
     ConnectionSet,
-    ExactSpectrum,
     character_sum,
     exact_spectrum,
     make_connection_set,
@@ -85,10 +84,12 @@ def certificate(group: GroupSpec, x: Element, alpha: Element) -> CertificateValu
     forward = character_sum(group, alpha, [(s, 0) for s in eclass])
     backward = character_sum(group, alpha, [(group.neg(s), 0) for s in eclass])
     atom_sum = atom_character_sum(group, x, alpha)
-    w6, w6_5 = root(n, n // 6), root(n, 5 * n // 6)
-    hs_sum = (w6 * forward + w6_5 * backward).reduce()
-    # i*sqrt(3) = w6 - w6^5 applied to psi(s) - psi(-s)
-    imbalance = ((w6 - w6_5) * (forward - backward)).reduce()
+    # w6^5 = 1 - w6, so w6*F + w6^5*B = B + w6*(F - B), and the imbalance
+    # i*sqrt(3)*(F - B) has i*sqrt(3) = w6 - w6^5 = 2*w6 - 1
+    diff = forward - backward
+    turned = root(n, n // 6) * diff
+    hs_sum = backward + turned
+    imbalance = 2 * turned - diff
 
     z = as_integer(hs_sum)
     c = as_integer(atom_sum)
@@ -128,8 +129,8 @@ class ClassificationReport:
     hs_verdict_characterization: bool
     hs_verdict_spectral: bool
     eisenstein_verdict_spectral: bool
-    hs_spectrum: ExactSpectrum
-    a_spectrum: ExactSpectrum
+    hs_spectrum: dict[Element, CycloNum]
+    a_spectrum: dict[Element, CycloNum]
     consistency: bool
 
 
@@ -148,7 +149,7 @@ class _SubsetFlags:
         return self.hs_spectral == (self.sym_integral and self.skew_hs_integral)
 
 
-def _subset_flags(cs: ConnectionSet) -> tuple[_SubsetFlags, ExactSpectrum, ExactSpectrum]:
+def _subset_flags(cs: ConnectionSet) -> tuple[_SubsetFlags, dict[Element, CycloNum], dict[Element, CycloNum]]:
     """Route verdicts for one set, with its HS and adjacency spectra.
 
     Both characterization tests always run, so each costs one call per set.
@@ -157,18 +158,15 @@ def _subset_flags(cs: ConnectionSet) -> tuple[_SubsetFlags, ExactSpectrum, Exact
     simple = exact_spectrum(cs, "simple_part")
     skew = exact_spectrum(cs, "skew_part")
     adjacency = exact_spectrum(cs, "adjacency")
-    hs = ExactSpectrum(
-        kind="hs",
-        entries={a: simple.entries[a] + skew.entries[a] for a in g.elements},
-    )
+    hs = {a: simple[a] + skew[a] for a in g.elements}
     sym_ok = in_boolean_algebra(g, cs.sym_part) is not None
     skew_ok = in_skew_family(g, cs.skew_part) is not None
     flags = _SubsetFlags(
         hs_char=sym_ok and skew_ok,
-        hs_spectral=all(as_integer(v) is not None for v in hs.entries.values()),
-        eisenstein=all(as_eisenstein(v) is not None for v in adjacency.entries.values()),
-        sym_integral=all(as_integer(v) is not None for v in simple.entries.values()),
-        skew_hs_integral=all(as_integer(v) is not None for v in skew.entries.values()),
+        hs_spectral=all(as_integer(v) is not None for v in hs.values()),
+        eisenstein=all(as_eisenstein(v) is not None for v in adjacency.values()),
+        sym_integral=all(as_integer(v) is not None for v in simple.values()),
+        skew_hs_integral=all(as_integer(v) is not None for v in skew.values()),
     )
     return flags, hs, adjacency
 
@@ -237,7 +235,11 @@ def enumerate_hs_integral(
     )
 
 
-_SWEEP_CAP = 1 << 20  # subsets one verify sweep may test; each mask is held in memory
+# Character exponents one verify may compute.  The time per exponent grows
+# with the number of primes dividing N: the slowest accepted verifies
+# measured, Z_715 and Z_805 with budget 1, take under 30 s on a 2-core VM,
+# while Z_935 (55 s) is refused and Z_15 keeps the CLI's default budget.
+_WORK_CAP = 2_600_000
 
 
 @dataclass(frozen=True)
@@ -310,20 +312,26 @@ def verify_theorems(
     spectral, and HS spectral == (symmetric part integral and skew part
     HS-integral).  On top of the sweep, every certificate identity is
     checked once per group.  Exhaustive when 2^(n-1) fits in the budget,
-    otherwise a seeded uniform sample of ``budget`` subsets.  A sweep of
-    more than 2^20 subsets is refused with ValueError.  ``jobs`` worker
-    processes share the sweep, at most ``os.cpu_count()`` of them.
+    otherwise a seeded uniform sample of ``budget`` subsets.  A verify of
+    more than ``_WORK_CAP`` character exponents is refused with ValueError
+    before it starts.  ``jobs`` worker processes share the sweep, at most
+    ``os.cpu_count()`` of them.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"verification budget must be >= 1, got {budget}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    nonzero = tuple(x for x in group.elements if x != group.zero)
-    total = 1 << len(nonzero)
+    n = group.order
+    total = 1 << (n - 1)
     exhaustive = budget is None or total <= budget
     tested = total if exhaustive else budget
-    if tested > _SWEEP_CAP:
-        raise ValueError(f"{tested} subsets exceed the sweep cap of {_SWEEP_CAP}; use a smaller budget")
+    # A subset costs at most 3n(n-1) exponents: three spectra of n eigenvalues,
+    # each member counted at most three times.  The certificate pass costs
+    # 2n|A|^2 for each atom A that splits into skew classes.
+    skew_atoms = sum(len(atom) ** 2 for atom, classes in atom_splits(group) if classes)
+    work = n * (3 * (n - 1) * tested + 2 * skew_atoms)
+    if work > _WORK_CAP:
+        raise ValueError(f"{work} character exponents exceed the verify bound of {_WORK_CAP}; use a smaller budget")
     if exhaustive:
         masks = list(range(total))
     else:
@@ -331,7 +339,7 @@ def verify_theorems(
         seen: set[int] = set()
         masks = []
         while len(masks) < budget:
-            m = rng.getrandbits(len(nonzero)) if nonzero else 0
+            m = rng.getrandbits(n - 1)
             if m not in seen:
                 seen.add(m)
                 masks.append(m)
@@ -341,7 +349,7 @@ def verify_theorems(
     if jobs > 1 and len(masks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, (len(masks) + jobs - 1) // jobs)
+        chunk = (len(masks) + jobs - 1) // jobs
         chunks = [masks[i : i + chunk] for i in range(0, len(masks), chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(

@@ -125,14 +125,14 @@ def test_cyclotomic_poly_against_sympy():
 
 
 def test_reduce_examples():
-    z = root(6, 3).reduce()
+    z = root(6, 3)
     assert z.coeffs[0] == -1 and all(c == 0 for c in z.coeffs[1:])
     assert root(4, 2) == -1
     # w9^8 reduced via Phi_9 = x^6 + x^3 + 1
     q, r = oracle_divmod([0] * 8 + [1], [1, 0, 0, 1, 0, 0, 1])
     expected = CycloNum(9, tuple(r) + (0,) * (9 - len(r)))
     assert root(9, 8) == expected
-    assert root(9, 8).canonical_coeffs() == (0, 0, -1, 0, 0, -1)
+    assert root(9, 8).coeffs == (0, 0, -1, 0, 0, -1)
 
 
 # 486 and 768 are radical-power orders, 1506 is squarefree, 1536 = 2^9 * 3
@@ -149,7 +149,7 @@ def test_reduce_large_orders_against_division_oracle(order):
         z = reduce_root_counts(order, counts)
         assert len(z.coeffs) == totient(order)
         assert z.coeffs == expected
-        third = CycloNum(order, tuple(Fraction(c, 3) for c in counts)).reduce()
+        third = CycloNum(order, tuple(Fraction(c, 3) for c in counts))
         assert third.coeffs == tuple(c / 3 for c in expected)
         direct = sum(c * cmath.exp(1j * tau * j / order) for j, c in enumerate(counts))
         assert abs(direct - z.to_complex()) < 1e-9
@@ -182,10 +182,10 @@ def test_as_rational_distinguishes():
     half = CycloNum.from_rational(Fraction(1, 2), 6)
     assert as_integer(half) is None
     assert as_eisenstein(half) is None
-    c = half.canonical_coeffs()
+    c = half.coeffs
     assert c[0] == Fraction(1, 2) and not any(c[1:])
     assert as_integer(2 * half) == 1
-    assert any(root(3, 1).canonical_coeffs()[1:])
+    assert any(root(3, 1).coeffs[1:])
 
 
 def test_as_eisenstein_examples():
@@ -247,13 +247,19 @@ def cyclo_numbers(draw, orders=None):
 @given(cyclo_numbers(), cyclo_numbers())
 @settings(max_examples=60, deadline=None)
 def test_reduce_respects_multiplication(z, w):
-    assert (z * w).reduce() == z.reduce() * w.reduce()
+    """The raw cyclic convolution of two canonical vectors reduces to their product."""
+    n = lcm(z.order, w.order)
+    raw = [0] * n
+    for i, c in enumerate(z.lift(n).coeffs):
+        for j, d in enumerate(w.lift(n).coeffs):
+            raw[(i + j) % n] += c * d
+    assert CycloNum(n, tuple(raw)).coeffs == (z * w).coeffs
 
 
 @given(cyclo_numbers())
 def test_reduce_idempotent(z):
-    r = z.reduce()
-    assert r.reduce().coeffs == r.coeffs
+    assert z.reduce() is z
+    assert CycloNum(z.order, z.coeffs).coeffs == z.coeffs
 
 
 @given(cyclo_numbers())
@@ -289,14 +295,14 @@ def test_numerical_consistency_of_reduction():
         direct = sum(
             c * cmath.exp(1j * tau * j / order) for j, c in enumerate(coeffs)
         )
-        assert abs(direct - z.reduce().to_complex()) < 1e-9
+        assert abs(direct - z.to_complex()) < 1e-9
 
 
 def reference_as_eisenstein(z):
     """Fraction-only solve: b from the pivot slot of w_3, a from slot 0."""
     n = lcm(z.order, 3)
-    c = [Fraction(v) for v in z.lift(n).canonical_coeffs()]
-    r3 = [Fraction(v) for v in root(n, n // 3).canonical_coeffs()]
+    c = [Fraction(v) for v in z.lift(n).coeffs]
+    r3 = [Fraction(v) for v in root(n, n // 3).coeffs]
     pivot = next(k for k in range(1, len(r3)) if r3[k] != 0)
     b = c[pivot] / r3[pivot]
     a = c[0] - b * r3[0]
@@ -315,10 +321,10 @@ rationals = st.one_of(
 
 @st.composite
 def eisenstein_candidates(draw):
-    """a + b*w_3 in a random field, unreduced, sometimes off by one coefficient."""
+    """a + b*w_3 in a random field, sometimes off by one coefficient."""
     order = 3 * draw(st.integers(1, 12))
     z = (draw(rationals) + draw(rationals) * root(3, 1)).lift(order)
-    # sum_j w^j = 0 for order > 1, so this keeps the value and breaks canonical form
+    # sum_j w^j = 0 for order > 1, which the constructor must reduce away
     z = z + draw(st.integers(-3, 3)) * CycloNum(order, (1,) * order)
     if draw(st.booleans()):
         slot = draw(st.integers(0, order - 1))
@@ -360,8 +366,8 @@ def test_mixed_order_lifting():
     assert as_integer(root(4, 1) * root(4, 3)) == 1
 
 
-# -- compact layout: a value with its trailing zeros cut must behave exactly
-# like the same value padded to length N
+# -- compact input: a vector with its trailing zeros cut must make exactly
+# the value of the same vector padded to length N
 
 COMPACT_ORDERS = list(range(1, 37)) + [486, 1506]
 
@@ -380,8 +386,7 @@ def twin_pairs(draw):
         coeffs = [0] * n
         for j in draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True)):
             coeffs[j] = draw(rationals)
-        padded = CycloNum(n, tuple(coeffs))
-        twins.append((CycloNum(n, _trimmed(padded.coeffs)), padded))
+        twins.append((CycloNum(n, _trimmed(tuple(coeffs))), CycloNum(n, tuple(coeffs))))
     return twins
 
 
@@ -390,9 +395,8 @@ def _same(u, v):
     floats: the twins hold the same terms, so they sum them in the same order."""
     assert u.order == v.order
     phi = totient(u.order)
-    assert len(u.reduce().coeffs) == len(v.reduce().coeffs) == phi
-    assert u.canonical_coeffs() == v.canonical_coeffs()
-    assert u.reduce().coeffs == v.reduce().coeffs
+    assert len(u.coeffs) == len(v.coeffs) == phi
+    assert u.coeffs == v.coeffs
     assert u.to_complex() == v.to_complex()
 
 
@@ -401,8 +405,7 @@ def _same(u, v):
 def test_compact_and_padded_values_agree(twins):
     (a, a_pad), (b, b_pad) = twins
     _same(a, a_pad)
-    reduced = a.reduce()
-    assert reduced.reduce() is reduced
+    assert a.reduce() is a
     for x, y in ((a, b), (a, b_pad), (a_pad, b)):
         _same(x + y, a_pad + b_pad)
         _same(x - y, a_pad - b_pad)
@@ -410,7 +413,7 @@ def test_compact_and_padded_values_agree(twins):
         assert (x == y) == (a_pad == b_pad)
     _same(b.lift(a.order), b_pad.lift(a.order))
     _same(a.lift(2 * a.order), a_pad.lift(2 * a.order))
-    assert a == a_pad and a.reduce() == a_pad
+    assert a == a_pad
     assert a.is_zero() == a_pad.is_zero()
     assert as_integer(a) == as_integer(a_pad)
     assert as_eisenstein(a) == as_eisenstein(a_pad)
@@ -420,7 +423,8 @@ def test_coefficient_vector_longer_than_order_is_rejected():
     with pytest.raises(ValueError):
         CycloNum(3, (1, 0, 0, 0))
     assert CycloNum(3, ()).is_zero()
-    assert CycloNum(3, (5,)).reduce().coeffs == (5, 0)
+    assert CycloNum(3, (5,)).coeffs == (5, 0)
+    assert CycloNum(3, (0, 0, 1)).coeffs == (-1, -1)  # w^2 = -1 - w
 
 
 @pytest.mark.parametrize("inexact", [0.5, 1j, "w"], ids=["float", "complex", "str"])
@@ -438,13 +442,12 @@ def test_inexact_operands_raise_type_error(inexact):
             op()
 
 
-def _assert_valid(z, reduced):
-    """What ``CycloNum.__post_init__`` checks, plus the canonical length."""
+def _assert_canonical(z):
+    """Exactly totient(N) coefficients in a tuple, which the validating
+    constructor accepts and keeps as they are."""
     assert type(z) is CycloNum and type(z.coeffs) is tuple
-    assert z.order >= 1 and len(z.coeffs) <= z.order
-    if reduced:
-        assert len(z.coeffs) == totient(z.order)
-    CycloNum(z.order, z.coeffs)  # the validating constructor accepts it
+    assert len(z.coeffs) == totient(z.order)
+    assert CycloNum(z.order, z.coeffs).coeffs == z.coeffs
 
 
 @st.composite
@@ -457,15 +460,32 @@ def count_vectors(draw, order):
     return counts
 
 
+ORDERS = st.one_of(st.integers(1, 36), st.sampled_from((486, 768, 1506)))
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_values_built_without_validation_pass_its_checks(data):
-    order = data.draw(st.one_of(st.integers(1, 36), st.sampled_from((486, 768, 1506))))
+    order = data.draw(ORDERS)
     counts, other = data.draw(count_vectors(order)), data.draw(count_vectors(order))
-    _assert_valid(reduce_root_counts(order, counts), reduced=True)
     z, w = CycloNum(order, tuple(counts)), CycloNum(order, tuple(other))
-    _assert_valid(z.reduce(), reduced=True)
     total = z + w  # same order: the path that skips lcm and lift
-    _assert_valid(total, reduced=False)
-    _assert_valid(total.reduce(), reduced=True)
-    assert total.reduce().coeffs == tuple(map(add, z.reduce().coeffs, w.reduce().coeffs))
+    for v in (reduce_root_counts(order, counts), total, -z, z * Fraction(1, 2)):
+        _assert_canonical(v)
+    assert total.coeffs == tuple(map(add, z.coeffs, w.coeffs))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_every_value_holds_its_canonical_coefficients(data):
+    order = data.draw(ORDERS)
+    # a second order that needs a lift to the lcm, kept small past 36
+    small = [d for d in range(1, 37) if order <= 36 or order % d == 0]
+    other = data.draw(st.sampled_from(small))
+    counts = data.draw(count_vectors(order))
+    z = CycloNum(order, tuple(counts))
+    w = CycloNum(other, tuple(data.draw(count_vectors(other))))
+    j = data.draw(st.integers(-2 * order, 2 * order))
+    made = (z, w, root(order, j), z.lift(3 * order), z + w, z - w, z * w, -z)
+    for v in (*made, reduce_root_counts(order, counts)):
+        _assert_canonical(v)

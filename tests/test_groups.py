@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedcayley import make_connection_set, make_group, parse_group
+from mixedcayley.groups import DEFAULT_SIZE_CAP
 
 
 def brute_order(g, x):
@@ -45,8 +46,8 @@ def test_make_group_rejects_bad_input():
     with pytest.raises(ValueError):
         make_group([3, -1])
     with pytest.raises(ValueError):
-        make_group([64, 65])  # 4160 > default cap
-    make_group([64, 65], size_cap=5000)
+        make_group([64, 65])  # 4160 > DEFAULT_SIZE_CAP
+    assert make_group([64, 64]).order == DEFAULT_SIZE_CAP
 
 
 def test_parse_group():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -148,7 +149,7 @@ def test_classify_examples():
     r = classify(g, {(0, 1), (1, 0), (2, 0)})
     assert r.hs_verdict_characterization and r.hs_verdict_spectral
     assert r.eisenstein_verdict_spectral and r.consistency
-    values = [as_integer(v) for v in r.hs_spectrum.entries.values()]
+    values = [as_integer(v) for v in r.hs_spectrum.values()]
     assert sorted(values) == [-3, -3, 0, 0, 0, 0, 0, 3, 3]
     assert 3 in values and -3 in values and 0 in values
 
@@ -341,6 +342,8 @@ for name, sweep in sweeps.items():
 print("cli", run(["verify", "--group", "40", "--budget", str(1 << 40)]))
 """
 
+WORK_CAP = 2_600_000
+
 
 def test_verify_refuses_a_sweep_over_the_cap():
     proc = subprocess.run(
@@ -351,12 +354,46 @@ def test_verify_refuses_a_sweep_over_the_cap():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    over = "subsets exceed the sweep cap of 1048576; use a smaller budget"
+    over = f"character exponents exceed the verify bound of {WORK_CAP}; use a smaller budget"
+    # no element of Z_40 or Z_64 has order divisible by 3, so there is no
+    # certificate pass, and a subset costs at most 3n(n-1) exponents
     assert proc.stdout.splitlines() == [
-        f"exhaustive {1 << 39} {over}",
-        f"sampled {1 << 40} {over}",
+        f"exhaustive {40 * 3 * 39 << 39} {over}",
+        f"sampled {64 * 3 * 63 << 40} {over}",
         "cli 1",
     ]
-    assert proc.stderr == f"error: {1 << 39} {over}\n"
+    assert proc.stderr == f"error: {40 * 3 * 39 << 39} {over}\n"
     # a budget past the cap is fine when the exhaustive total is under it
     assert verify_theorems(make_group([9]), budget=1 << 40).subsets_tested == 256
+
+
+PAST_THE_BOUND = """
+from mixedcayley import make_group, verify_theorems
+try:
+    verify_theorems(make_group([4095]), budget=1)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_verify_refuses_work_past_the_bound_within_seconds():
+    """Z_4095 with budget 1 costs ~3*10^10 character exponents, nearly all in
+    the certificate pass, so it must be refused before that pass starts."""
+
+    def python(*args):
+        return subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+
+    over = f"29929052790 character exponents exceed the verify bound of {WORK_CAP}; use a smaller budget"
+    library = python("-c", PAST_THE_BOUND)
+    assert (library.returncode, library.stdout) == (0, over + "\n"), library.stderr
+    cli = python("-m", "mixedcayley", "verify", "--group", "4095", "--budget", "1")
+    assert (cli.returncode, cli.stdout, cli.stderr) == (1, "", f"error: {over}\n")
+    under = python("-m", "mixedcayley", "verify", "--group", "63", "--budget", "1")
+    assert under.returncode == 0, under.stderr
+    assert json.loads(under.stdout)["subsets_tested"] == 1
