@@ -31,7 +31,7 @@ from .cayley import (
     exact_spectrum,
     make_connection_set,
 )
-from .cyclo import CycloNum, as_eisenstein, as_integer, root
+from .cyclo import CycloNum, _reduction_plan, as_eisenstein, as_integer, root
 from .groups import Element, GroupSpec, make_group
 
 
@@ -235,11 +235,9 @@ def enumerate_hs_integral(
     )
 
 
-# Character exponents one verify may compute.  The time per exponent grows
-# with the number of primes dividing N: the slowest accepted verifies
-# measured, Z_715 and Z_805 with budget 1, take under 30 s on a 2-core VM,
-# while Z_935 (55 s) is refused and Z_15 keeps the CLI's default budget.
-_WORK_CAP = 2_600_000
+# Reduction terms one verify may cost.  At this bound the slowest accepted
+# verifies measured take under 60 s on a 2-core VM; see verify_theorems.
+_WORK_CAP = 400_000_000
 
 
 @dataclass(frozen=True)
@@ -312,10 +310,10 @@ def verify_theorems(
     spectral, and HS spectral == (symmetric part integral and skew part
     HS-integral).  On top of the sweep, every certificate identity is
     checked once per group.  Exhaustive when 2^(n-1) fits in the budget,
-    otherwise a seeded uniform sample of ``budget`` subsets.  A verify of
-    more than ``_WORK_CAP`` character exponents is refused with ValueError
-    before it starts.  ``jobs`` worker processes share the sweep, at most
-    ``os.cpu_count()`` of them.
+    otherwise a seeded uniform sample of ``budget`` subsets.  A verify
+    whose estimated cost passes ``_WORK_CAP`` reduction terms is refused
+    with ValueError before it starts.  ``jobs`` worker processes share the
+    sweep, at most ``os.cpu_count()`` of them.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"verification budget must be >= 1, got {budget}")
@@ -325,13 +323,19 @@ def verify_theorems(
     total = 1 << (n - 1)
     exhaustive = budget is None or total <= budget
     tested = total if exhaustive else budget
-    # A subset costs at most 3n(n-1) exponents: three spectra of n eigenvalues,
-    # each member counted at most three times.  The certificate pass costs
-    # 2n|A|^2 for each atom A that splits into skew classes.
-    skew_atoms = sum(len(atom) ** 2 for atom, classes in atom_splits(group) if classes)
-    work = n * (3 * (n - 1) * tested + 2 * skew_atoms)
+    # A subset costs at most 3n(n-1) character exponents: three spectra of n
+    # eigenvalues, each member counted at most three times.  The certificate
+    # pass costs 2|A| exponents for each of the n|A| pairs (x, alpha) of an
+    # atom A that splits into skew classes, plus about 20 per pair for the
+    # certificate itself.  An exponent costs the terms of its row in the
+    # reduction's power table, plus about 20 terms' worth for forming it.
+    # Rows average 1.3 terms on Z_256 (N = 768) but 353 on Z_715 (N = 4290).
+    _, rows, _ = _reduction_plan(group.root_order)
+    certificates = sum(len(atom) * (len(atom) + 10) for atom, classes in atom_splits(group) if classes)
+    exponents = n * (3 * (n - 1) * tested + 2 * certificates)
+    work = exponents * (20 * len(rows) + sum(map(len, rows))) // len(rows)
     if work > _WORK_CAP:
-        raise ValueError(f"{work} character exponents exceed the verify bound of {_WORK_CAP}; use a smaller budget")
+        raise ValueError(f"{work} reduction terms exceed the verify bound of {_WORK_CAP}; use a smaller budget")
     if exhaustive:
         masks = list(range(total))
     else:
