@@ -163,10 +163,10 @@ def element_label(x: Element) -> str:
     return "(" + ",".join(str(c) for c in x) + ")"
 
 
-def to_dot(cs: ConnectionSet, name: str = "cayley") -> str:
+def to_dot(cs: ConnectionSet) -> str:
     """DOT export: undirected edges for the symmetric part, arcs for the skew."""
     g = cs.group
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph cayley {"]
     for x in g.elements:
         lines.append(f'  "{element_label(x)}";')
     for u in g.elements:

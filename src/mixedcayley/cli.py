@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -20,13 +21,14 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import IO
 
 from .atoms import AtomDecomposition, atom_splits
-from .cayley import exact_spectrum, make_connection_set, to_dot
+from .cayley import _terms, exact_spectrum, make_connection_set, to_dot
 from .cyclo import CycloNum
 from .groups import Element, GroupSpec, parse_group
 from .integrality import (
     ClassificationReport,
     ConsistencyError,
     VerificationReport,
+    _require_work,
     classify,
     enumerate_hs_integral,
     verify_theorems,
@@ -41,40 +43,44 @@ class SetSpecError(ValueError):
         self.position = position
 
 
+# a token is a signed run of decimal digits or any one character other than
+# whitespace; re's \d and \s match exactly what int() and str.isspace accept
+_TOKEN = re.compile(r"[+-]?\d+|\S")
+
+
+def _integer(text: str, at: int) -> int:
+    if not text[-1:].isdecimal():  # only an integer token ends in a digit
+        raise SetSpecError(at, "expected an integer")
+    return int(text)
+
+
 def parse_set(spec: str, group: GroupSpec, reduce_coords: bool = True) -> frozenset[Element]:
     """Parse "1,5" or "(0,1),(2,0)" into a reduced, deduplicated element set.
 
-    Bare integers are accepted only for single-factor groups.  With
-    ``reduce_coords`` off, out-of-range coordinates are rejected instead
-    of being reduced.  The identity element is always rejected.
+    The grammar is ``element ("," element)*``, or nothing, where an element
+    is an integer or ``"(" integer ("," integer)* ")"``; whitespace between
+    tokens is skipped.  Bare integers are accepted only for single-factor
+    groups.  With ``reduce_coords`` off, out-of-range coordinates are
+    rejected instead of being reduced.  The identity element is always
+    rejected.
     """
     k = len(group.moduli)
+    tokens = iter([(m[0], m.start()) for m in _TOKEN.finditer(spec)] + [("", len(spec))])
     elements: set[Element] = set()
-    i = 0
-    n = len(spec)
-
-    def skip_ws(j: int) -> int:
-        while j < n and spec[j].isspace():
-            j += 1
-        return j
-
-    def read_int(j: int) -> tuple[int, int]:
-        j = skip_ws(j)
-        start = j
-        if j < n and spec[j] in "+-":
-            j += 1
-        while j < n and spec[j].isdigit():
-            j += 1
-        try:  # str.isdigit also passes characters such as '²' that int() rejects
-            return int(spec[start:j]), j
-        except ValueError:
-            raise SetSpecError(start, "expected an integer") from None
-
-    def make_element(coords: tuple[int, ...], at: int) -> Element:
-        if len(coords) != k:
-            raise SetSpecError(
-                at, f"element has {len(coords)} coordinates, group needs {k}"
-            )
+    text, at = next(tokens)
+    while text:
+        if text == "(":
+            coords = [_integer(*next(tokens))]
+            while (token := next(tokens))[0] == ",":
+                coords.append(_integer(*next(tokens)))
+            if token[0] != ")":
+                raise SetSpecError(token[1], "expected ',' or ')' inside element tuple")
+            if len(coords) != k:
+                raise SetSpecError(at, f"element has {len(coords)} coordinates, group needs {k}")
+        else:
+            coords = [_integer(text, at)]
+            if k != 1:
+                raise SetSpecError(at, f"bare integers need a cyclic group, this one has {k} factors")
         if not reduce_coords:
             for c, m in zip(coords, group.moduli):
                 if not 0 <= c < m:
@@ -82,41 +88,14 @@ def parse_set(spec: str, group: GroupSpec, reduce_coords: bool = True) -> frozen
         x = group.element(coords)
         if x == group.zero:
             raise SetSpecError(at, "the identity element cannot be a member")
-        return x
-
-    i = skip_ws(i)
-    while i < n:
-        start = i
-        if spec[i] == "(":
-            coords: list[int] = []
-            i += 1
-            while True:
-                value, i = read_int(i)
-                coords.append(value)
-                i = skip_ws(i)
-                if i < n and spec[i] == ",":
-                    i += 1
-                    continue
-                if i < n and spec[i] == ")":
-                    i += 1
-                    break
-                raise SetSpecError(i, "expected ',' or ')' inside element tuple")
-            elements.add(make_element(tuple(coords), start))
-        else:
-            value, i = read_int(i)
-            if k != 1:
-                raise SetSpecError(
-                    start, f"bare integers need a cyclic group, this one has {k} factors"
-                )
-            elements.add(make_element((value,), start))
-        i = skip_ws(i)
-        if i < n:
-            if spec[i] != ",":
-                raise SetSpecError(i, "expected ',' between elements")
-            i += 1
-            i = skip_ws(i)
-            if i >= n:
-                raise SetSpecError(i, "trailing comma")
+        elements.add(x)
+        text, after = next(tokens)
+        if text == ",":
+            text, at = next(tokens)
+            if not text:
+                raise SetSpecError(at, "trailing comma")
+        elif text:
+            raise SetSpecError(after, "expected ',' between elements")
     return frozenset(elements)
 
 
@@ -301,6 +280,7 @@ def _run_spectrum(args, stdout: IO[str]) -> int:
     group = parse_group(args.group)
     members = parse_set(args.set or "", group, reduce_coords=not args.no_reduce)
     cs = make_connection_set(group, members)
+    _require_work(group, group.order * len(_terms(cs, args.kind)), "spectrum", "set")
     spectrum = exact_spectrum(cs, args.kind)
     if args.format == "text":
         with _opened(args.out, stdout) as fh:

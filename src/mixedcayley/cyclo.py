@@ -246,9 +246,6 @@ class CycloNum:
         """The canonical form, which every value already is: ``self``."""
         return self
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = CycloNum.from_rational(other)

@@ -9,7 +9,7 @@ a single field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import index, mul
@@ -23,16 +23,32 @@ DEFAULT_SIZE_CAP = 4096
 class GroupSpec:
     """A finite abelian group Z_{n_1} x ... x Z_{n_k}.
 
-    Instances are immutable values; build them with :func:`make_group` or
-    :func:`parse_group`, which validate the moduli and fill in the derived
-    fields.  ``root_order`` is lcm(6, exponent): the one cyclotomic order
-    large enough for every character value and its sixth-root weights.
+    Built from its moduli alone: at least one integer >= 1, with a product
+    of at most ``DEFAULT_SIZE_CAP``.  ``root_order`` is lcm(6, exponent):
+    the one cyclotomic order large enough for every character value and
+    its sixth-root weights.
     """
 
     moduli: tuple[int, ...]
-    order: int
-    exponent: int
-    root_order: int
+    order: int = field(init=False)
+    exponent: int = field(init=False)
+    root_order: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        moduli = tuple(map(index, self.moduli))
+        if not moduli:
+            raise ValueError("group needs at least one cyclic factor")
+        for n in moduli:
+            if n < 1:
+                raise ValueError(f"cyclic factor order must be >= 1, got {n}")
+        order = prod(moduli)
+        if order > DEFAULT_SIZE_CAP:
+            raise ValueError(f"group order {order} exceeds size cap {DEFAULT_SIZE_CAP}")
+        exponent = lcm(*moduli)
+        object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "root_order", lcm(6, exponent))
 
     @property
     def zero(self) -> Element:
@@ -109,20 +125,8 @@ class GroupSpec:
 
 
 def make_group(moduli) -> GroupSpec:
-    """Build a validated GroupSpec from a list of integer cyclic factor orders."""
-    moduli = tuple(map(index, moduli))
-    if not moduli:
-        raise ValueError("group needs at least one cyclic factor")
-    for n in moduli:
-        if n < 1:
-            raise ValueError(f"cyclic factor order must be >= 1, got {n}")
-    order = prod(moduli)
-    if order > DEFAULT_SIZE_CAP:
-        raise ValueError(f"group order {order} exceeds size cap {DEFAULT_SIZE_CAP}")
-    exponent = lcm(*moduli)
-    return GroupSpec(
-        moduli=moduli, order=order, exponent=exponent, root_order=lcm(6, exponent)
-    )
+    """Build a validated GroupSpec from an iterable of integer cyclic factor orders."""
+    return GroupSpec(moduli)
 
 
 def parse_group(spec: str) -> GroupSpec:

@@ -118,6 +118,23 @@ def certificate(group: GroupSpec, x: Element, alpha: Element) -> CertificateValu
     )
 
 
+# Reduction terms one classify, spectrum or verify may cost.  At this bound
+# the slowest accepted verifies measured take under 60 s on a 2-core VM.
+_WORK_CAP = 400_000_000
+
+
+def _require_work(group: GroupSpec, exponents: int, command: str, smaller: str) -> None:
+    """Raise ValueError when forming ``exponents`` character exponents costs
+    more than ``_WORK_CAP`` reduction terms."""
+    # An exponent costs the terms of its row in the reduction's power table,
+    # plus about 20 terms' worth for forming it.  Rows average 1.3 terms on
+    # Z_256 (N = 768) but 353 on Z_715 (N = 4290).
+    _, rows, _ = _reduction_plan(group.root_order)
+    work = exponents * (20 * len(rows) + sum(map(len, rows))) // len(rows)
+    if work > _WORK_CAP:
+        raise ValueError(f"{work} reduction terms exceed the {command} bound of {_WORK_CAP}; use a smaller {smaller}")
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     """Verdicts, decompositions and exact spectra for one connection set."""
@@ -172,8 +189,13 @@ def _subset_flags(cs: ConnectionSet) -> tuple[_SubsetFlags, dict[Element, CycloN
 
 
 def classify(group: GroupSpec, members) -> ClassificationReport:
-    """Run all three integrality routes on one connection set."""
+    """Run all three integrality routes on one connection set, or raise
+    ValueError before any of them when its cost would pass ``_WORK_CAP``."""
     cs = make_connection_set(group, members)
+    # three spectra of n eigenvalues: the simple part counts each symmetric
+    # member once, the skew part each skew member twice, adjacency each member once
+    terms = len(cs.sym_part) + 2 * len(cs.skew_part) + len(cs.members)
+    _require_work(group, group.order * terms, "classify", "set")
     flags, hs, adjacency = _subset_flags(cs)
     return ClassificationReport(
         group=group,
@@ -233,11 +255,6 @@ def enumerate_hs_integral(
         truncated=budget is not None and total > budget,
         sets=sets,
     )
-
-
-# Reduction terms one verify may cost.  At this bound the slowest accepted
-# verifies measured take under 60 s on a 2-core VM; see verify_theorems.
-_WORK_CAP = 400_000_000
 
 
 @dataclass(frozen=True)
@@ -327,15 +344,9 @@ def verify_theorems(
     # eigenvalues, each member counted at most three times.  The certificate
     # pass costs 2|A| exponents for each of the n|A| pairs (x, alpha) of an
     # atom A that splits into skew classes, plus about 20 per pair for the
-    # certificate itself.  An exponent costs the terms of its row in the
-    # reduction's power table, plus about 20 terms' worth for forming it.
-    # Rows average 1.3 terms on Z_256 (N = 768) but 353 on Z_715 (N = 4290).
-    _, rows, _ = _reduction_plan(group.root_order)
+    # certificate itself.
     certificates = sum(len(atom) * (len(atom) + 10) for atom, classes in atom_splits(group) if classes)
-    exponents = n * (3 * (n - 1) * tested + 2 * certificates)
-    work = exponents * (20 * len(rows) + sum(map(len, rows))) // len(rows)
-    if work > _WORK_CAP:
-        raise ValueError(f"{work} reduction terms exceed the verify bound of {_WORK_CAP}; use a smaller budget")
+    _require_work(group, n * (3 * (n - 1) * tested + 2 * certificates), "verify", "budget")
     if exhaustive:
         masks = list(range(total))
     else:

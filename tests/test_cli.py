@@ -78,6 +78,38 @@ def test_parse_set_error_positions():
     assert parse_set("\u0663", g5) == {(3,)}  # an Arabic-Indic digit int() reads
 
 
+# recorded from the character-scanning parser this grammar replaced, except
+# "1²": that parser read "1²" as one integer and failed at 0, while '²' is
+# not a decimal digit, so the tokens are "1" and "²"
+MALFORMED_SPECS = [
+    ("12", "(1,2", True, 4, "expected ',' or ')' inside element tuple"),
+    ("3x3", "()", True, 1, "expected an integer"),
+    ("3x3", "((1))", True, 1, "expected an integer"),
+    ("12", "+", True, 0, "expected an integer"),
+    ("12", "1 2", True, 2, "expected ',' between elements"),
+    ("12", "1-2", True, 1, "expected ',' between elements"),
+    ("12", "1,5,", True, 4, "trailing comma"),
+    ("12", " 1 ,  ", True, 6, "trailing comma"),
+    ("12", "1, ,2", True, 3, "expected an integer"),
+    ("3x3", "(1 2)", True, 3, "expected ',' or ')' inside element tuple"),
+    ("3x3", "(1,2,0)", True, 0, "element has 3 coordinates, group needs 2"),
+    ("3x3", "1", True, 0, "bare integers need a cyclic group, this one has 2 factors"),
+    ("12", "13", False, 0, "coordinate 13 out of range [0, 12)"),
+    ("3x3", "(1,-4)", False, 0, "coordinate -4 out of range [0, 3)"),
+    ("3x3", "(0,1),(3,3)", True, 6, "the identity element cannot be a member"),
+    ("12", "\u0663,x", True, 2, "expected an integer"),
+    ("12", "1²", True, 1, "expected ',' between elements"),
+]
+
+
+@pytest.mark.parametrize("group, spec, reduce_coords, position, message", MALFORMED_SPECS)
+def test_parse_set_rejects_malformed_specs(group, spec, reduce_coords, position, message):
+    with pytest.raises(SetSpecError) as exc:
+        parse_set(spec, parse_group(group), reduce_coords=reduce_coords)
+    assert exc.value.position == position
+    assert str(exc.value) == f"set spec error at position {position}: {message}"
+
+
 def test_parse_set_strict_range():
     g = make_group([12])
     assert parse_set("13", g, reduce_coords=True) == {(1,)}

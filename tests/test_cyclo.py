@@ -289,7 +289,7 @@ def test_field_axioms_spot_checks(a, b, c):
 
 @given(cyclo_numbers())
 def test_conj_fixes_exactly_the_reals(z):
-    fixed = (z - conj(z)).is_zero()
+    fixed = not any((z - conj(z)).coeffs)
     assert fixed == (abs(z.to_complex().imag) < 1e-9)
 
 
@@ -421,7 +421,7 @@ def test_compact_and_padded_values_agree(twins):
     _same(b.lift(a.order), b_pad.lift(a.order))
     _same(a.lift(2 * a.order), a_pad.lift(2 * a.order))
     assert a == a_pad
-    assert a.is_zero() == a_pad.is_zero()
+    assert any(a.coeffs) == any(a_pad.coeffs)
     assert as_integer(a) == as_integer(a_pad)
     assert as_eisenstein(a) == as_eisenstein(a_pad)
 
@@ -429,7 +429,7 @@ def test_compact_and_padded_values_agree(twins):
 def test_coefficient_vector_longer_than_order_is_rejected():
     with pytest.raises(ValueError):
         CycloNum(3, (1, 0, 0, 0))
-    assert CycloNum(3, ()).is_zero()
+    assert not any(CycloNum(3, ()).coeffs)
     assert CycloNum(3, (5,)).coeffs == (5, 0)
     assert CycloNum(3, (0, 0, 1)).coeffs == (-1, -1)  # w^2 = -1 - w
 

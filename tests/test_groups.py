@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedcayley import make_connection_set, make_group, parse_group
-from mixedcayley.groups import DEFAULT_SIZE_CAP
+from mixedcayley.groups import DEFAULT_SIZE_CAP, GroupSpec
 
 
 def brute_order(g, x):
@@ -48,6 +48,21 @@ def test_make_group_rejects_bad_input():
     with pytest.raises(ValueError):
         make_group([64, 65])  # 4160 > DEFAULT_SIZE_CAP
     assert make_group([64, 64]).order == DEFAULT_SIZE_CAP
+
+
+def test_group_spec_is_built_from_its_moduli_alone():
+    with pytest.raises(TypeError):
+        GroupSpec((9,), 9, 9, 9)  # the derived fields are not arguments
+    g = GroupSpec((9,))
+    assert g == make_group([9]) and hash(g) == hash(make_group([9]))
+    assert (g.order, g.exponent, g.root_order) == (9, 9, 18)
+    assert repr(g) == "GroupSpec(moduli=(9,), order=9, exponent=9, root_order=18)"
+    for moduli in [(), (0,), (4097,), (9.5,)]:
+        with pytest.raises((TypeError, ValueError)) as direct:
+            GroupSpec(moduli)
+        with pytest.raises(direct.type) as via_make_group:
+            make_group(moduli)
+        assert str(via_make_group.value) == str(direct.value)
 
 
 def test_parse_group():

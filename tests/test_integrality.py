@@ -257,7 +257,7 @@ def test_eisenstein_components_examples():
     sym = make_connection_set(make_group([12]), {(1,), (11,)})
     for alpha in sym.group.elements:
         f, gv = eisenstein_components(sym, alpha)
-        assert gv.is_zero()
+        assert not any(gv.coeffs)
         assert f == a_eigenvalue(sym, alpha)
 
 
@@ -285,7 +285,7 @@ def test_oriented_integral_sets_have_integer_components():
             continue
         for alpha in g.elements:
             f, gv = eisenstein_components(cs, alpha)
-            assert f.is_zero()
+            assert not any(f.coeffs)
             assert as_integer(gv) is not None
 
 
@@ -380,19 +380,19 @@ except ValueError as exc:
 """
 
 
+def python(*args):
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+
+
 def test_verify_refuses_work_past_the_bound_within_seconds():
     """Z_4095 with budget 1 costs ~3*10^10 character exponents, nearly all in
     the certificate pass, so it must be refused before that pass starts."""
-
-    def python(*args):
-        return subprocess.run(
-            [sys.executable, *args],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
-            timeout=60,
-        )
-
     over = f"6004289377332 reduction terms exceed the verify bound of {WORK_CAP}; use a smaller budget"
     library = python("-c", PAST_THE_BOUND)
     assert (library.returncode, library.stdout) == (0, over + "\n"), library.stderr
@@ -403,3 +403,42 @@ def test_verify_refuses_work_past_the_bound_within_seconds():
         under = python("-m", "mixedcayley", "verify", "--group", *args)
         assert under.returncode == 0, under.stderr
         assert json.loads(under.stdout)["subsets_tested"] == tested
+
+
+ODD_RESIDUES_1001 = ",".join(map(str, range(1, 1001, 2)))
+
+CLASSIFY_PAST_THE_BOUND = """
+from mixedcayley import classify, make_group
+try:
+    classify(make_group([1001]), [(s,) for s in range(1, 1001, 2)])
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_classify_and_spectrum_refuse_work_past_the_bound_within_seconds():
+    """The 500 odd residues of Z_1001 are all skew members.  classify forms
+    1001 * (2*500 + 500) character exponents and ``spectrum --kind hs``
+    1001 * (2*500).  N = 6006 is squarefree, and the 6006 rows of its power
+    table hold 2637052 terms, so each exponent is charged (20*6006 +
+    2637052) // 6006 terms, about 459.  Without the bound, this classify
+    runs for over a minute."""
+    over = f"689293000 reduction terms exceed the classify bound of {WORK_CAP}; use a smaller set"
+    library = python("-c", CLASSIFY_PAST_THE_BOUND)
+    assert (library.returncode, library.stdout) == (0, over + "\n"), library.stderr
+    cli = python("-m", "mixedcayley", "classify", "--group", "1001", "--set", ODD_RESIDUES_1001)
+    assert (cli.returncode, cli.stdout, cli.stderr) == (1, "", f"error: {over}\n")
+    spectrum = python("-m", "mixedcayley", "spectrum", "--kind", "hs", "--group", "1001", "--set", ODD_RESIDUES_1001)
+    over = f"459528666 reduction terms exceed the spectrum bound of {WORK_CAP}; use a smaller set"
+    assert (spectrum.returncode, spectrum.stdout, spectrum.stderr) == (1, "", f"error: {over}\n")
+    # the 8-member set on Z_2048 (about 10^6 terms) stays accepted; its
+    # output bytes are checked in test_size_cap
+    accepted = subprocess.run(
+        [sys.executable, "-m", "mixedcayley", "classify", "--group", "2048", "--set", "1,2,3,5,7,11,13,17"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert accepted.returncode == 0, accepted.stderr
