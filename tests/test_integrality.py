@@ -431,14 +431,5 @@ def test_classify_and_spectrum_refuse_work_past_the_bound_within_seconds():
     spectrum = python("-m", "mixedcayley", "spectrum", "--kind", "hs", "--group", "1001", "--set", ODD_RESIDUES_1001)
     over = f"459528666 reduction terms exceed the spectrum bound of {WORK_CAP}; use a smaller set"
     assert (spectrum.returncode, spectrum.stdout, spectrum.stderr) == (1, "", f"error: {over}\n")
-    # the 8-member set on Z_2048 (about 10^6 terms) stays accepted; its
-    # output bytes are checked in test_size_cap
-    accepted = subprocess.run(
-        [sys.executable, "-m", "mixedcayley", "classify", "--group", "2048", "--set", "1,2,3,5,7,11,13,17"],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        timeout=60,
-    )
-    assert accepted.returncode == 0, accepted.stderr
+    # the 8-member set on Z_2048 (about 10^6 terms) stays accepted: the
+    # test in test_size_cap requires exit 0 and its exact output bytes
