@@ -120,9 +120,8 @@ def _approx_text(z: CycloNum) -> str:
 def cyclo_to_json(z: CycloNum) -> dict:
     """Exact canonical coefficients plus a 12-place decimal approximation.
 
-    ``str`` writes an int as its digits and a Fraction as "p/q", or as its
-    numerator when the denominator is 1.  A zero, int or Fraction, is "0",
-    so only the nonzero slots are converted.
+    Each coefficient is an int, written as its decimal digits; a zero is
+    "0", so only the nonzero slots are converted.
     """
     cs = z.coeffs
     text = ["0"] * len(cs)

@@ -1,15 +1,14 @@
-"""Exact arithmetic in the cyclotomic field Q(w_N).
+"""Exact arithmetic in the ring of cyclotomic integers Z[w_N].
 
-A CycloNum holds exact rational coefficients over the power basis
-1, w, ..., w^{N-1}, where w = exp(2*pi*i/N), always in canonical form:
-the polynomial remainder modulo the N-th cyclotomic polynomial, exactly
-totient(N) coefficients.  So equality, integer membership and Eisenstein
-membership are coefficient inspections; no floating point ever enters a
-verdict.  Mixed-order operands are lifted to the lcm of their orders by
-scaling exponents.
-
-Coefficients may be Python ints or Fractions; both are exact rationals
-and interoperate freely.
+Every value the routes compute is a sum of roots of unity with integer
+multiplicities, so a CycloNum holds integer coefficients over the power
+basis 1, w, ..., w^{N-1}, where w = exp(2*pi*i/N), always in canonical
+form: the polynomial remainder modulo the N-th cyclotomic polynomial,
+exactly totient(N) coefficients.  That polynomial is monic, so the
+remainder of an integer vector is an integer vector.  Equality, integer
+membership and Eisenstein membership are coefficient inspections; no
+floating point ever enters a verdict.  Mixed-order operands are lifted
+to the lcm of their orders by scaling exponents.
 """
 
 from __future__ import annotations
@@ -17,12 +16,9 @@ from __future__ import annotations
 import cmath
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import lcm, prod, tau
-
-Rational = int | Fraction
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -138,7 +134,7 @@ def _reduce(order: int, coeffs) -> CycloNum:
     y^q itself, so an exponent j < totient(order) is its own slot.
     """
     k, rows, phi = _reduction_plan(order)
-    out: list[Rational] = [0] * phi
+    out: list[int] = [0] * phi
     for j in compress(range(len(coeffs)), coeffs):
         if j < phi:
             out[j] += coeffs[j]
@@ -158,16 +154,17 @@ def _unit_roots(order: int) -> tuple[complex, ...]:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class CycloNum:
-    """An exact element of Q(w_N): value = sum_j coeffs[j] * w_N^j.
+    """An exact element of Z[w_N]: value = sum_j coeffs[j] * w_N^j.
 
-    ``coeffs`` always holds exactly the totient(N) canonical coefficients:
-    the constructor takes any vector of at most N entries, slots past its
-    end being zero, and reduces it.  Arithmetic takes CycloNum, int and
-    Fraction operands; anything else is a TypeError.
+    ``coeffs`` always holds exactly the totient(N) canonical coefficients,
+    each an int: the constructor reads every entry of a vector of at most
+    N with ``operator.index`` (so a float, rational or str is a TypeError),
+    takes slots past its end as zero, and reduces it.  Arithmetic takes
+    CycloNum and int operands; anything else is a TypeError.
     """
 
     order: int
-    coeffs: tuple[Rational, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if self.order < 1:
@@ -176,23 +173,21 @@ class CycloNum:
             raise ValueError(
                 f"coefficient vector has length {len(self.coeffs)}, more than {self.order}"
             )
-        if len(self.coeffs) != totient(self.order):
-            _set_coeffs(self, _reduce(self.order, self.coeffs).coeffs)
-
-    @staticmethod
-    def from_rational(value: Rational, order: int = 1) -> CycloNum:
-        return CycloNum(order, (value,))
+        coeffs = tuple(map(operator.index, self.coeffs))
+        if len(coeffs) != totient(self.order):
+            coeffs = _reduce(self.order, coeffs).coeffs
+        _set_coeffs(self, coeffs)
 
     def lift(self, order: int) -> CycloNum:
-        """Re-express in a larger field; the target order must be a multiple."""
+        """Re-express in a larger ring; the target order must be a multiple."""
         if order == self.order:
             return self
         if order % self.order != 0:
             raise ValueError(f"cannot lift order {self.order} to {order}")
         step = order // self.order
-        out: list[Rational] = [0] * ((len(self.coeffs) - 1) * step + 1)
+        out: list[int] = [0] * ((len(self.coeffs) - 1) * step + 1)
         out[::step] = self.coeffs
-        return CycloNum(order, tuple(out))
+        return _reduce(order, out)
 
     def _common(self, other: CycloNum) -> tuple[CycloNum, CycloNum]:
         n = lcm(self.order, other.order)
@@ -201,8 +196,8 @@ class CycloNum:
     def __add__(self, other) -> CycloNum:
         if other.__class__ is CycloNum and other.order == self.order:
             a, b = self, other
-        elif isinstance(other, (int, Fraction)):
-            a, b = self._common(CycloNum.from_rational(other))
+        elif isinstance(other, int):
+            a, b = self._common(CycloNum(1, (other,)))
         elif isinstance(other, CycloNum):
             a, b = self._common(other)
         else:
@@ -215,23 +210,23 @@ class CycloNum:
         return _cyclo(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> CycloNum:
-        if not isinstance(other, (CycloNum, int, Fraction)):
+        if not isinstance(other, (CycloNum, int)):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> CycloNum:
-        if not isinstance(other, (CycloNum, int, Fraction)):
+        if not isinstance(other, (CycloNum, int)):
             return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> CycloNum:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return _cyclo(self.order, tuple(c * other for c in self.coeffs))
         if not isinstance(other, CycloNum):
             return NotImplemented
         a, b = self._common(other)
         n = a.order
-        out: list[Rational] = [0] * min(n, len(a.coeffs) + len(b.coeffs) - 1)
+        out: list[int] = [0] * min(n, len(a.coeffs) + len(b.coeffs) - 1)
         for i, c in enumerate(a.coeffs):
             if c == 0:
                 continue
@@ -247,8 +242,8 @@ class CycloNum:
         return self
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CycloNum.from_rational(other)
+        if isinstance(other, int):
+            other = CycloNum(1, (other,))
         if not isinstance(other, CycloNum):
             return NotImplemented
         a, b = self._common(other)
@@ -277,7 +272,7 @@ _set_order = CycloNum.order.__set__
 _set_coeffs = CycloNum.coeffs.__set__
 
 
-def _cyclo(order: int, coeffs: tuple[Rational, ...]) -> CycloNum:
+def _cyclo(order: int, coeffs: tuple[int, ...]) -> CycloNum:
     """CycloNum(order, coeffs) without ``__post_init__``, for a vector that
     is canonical by construction: order >= 1 and totient(order) slots."""
     z = _new_object(CycloNum)
@@ -296,16 +291,10 @@ def root(order: int, j: int) -> CycloNum:
 def reduce_root_counts(order: int, counts) -> CycloNum:
     """Reduced sum of roots of unity with integer multiplicities.
 
-    ``counts[j]`` is the (possibly negative) multiplicity of w_order^j.
-    This is the hot path for character sums.
+    ``counts[j]`` is the (possibly negative) integer multiplicity of
+    w_order^j, unchecked on this hot path for character sums.
     """
     return _reduce(order, counts)
-
-
-def _as_int(v: Rational) -> int | None:
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else None
-    return v
 
 
 def as_integer(z: CycloNum) -> int | None:
@@ -313,12 +302,12 @@ def as_integer(z: CycloNum) -> int | None:
     c = z.coeffs
     if any(c[1:]):
         return None
-    return _as_int(c[0])
+    return c[0]
 
 
 @lru_cache(maxsize=None)
 def _w3_row(order: int) -> tuple[tuple[int, ...], int]:
-    """Canonical coefficients of w_3 in Q(w_order) and their first nonzero slot above 0."""
+    """Canonical coefficients of w_3 in Z[w_order] and their first nonzero slot above 0."""
     r3 = root(order, order // 3).coeffs
     pivot = next((k for k in range(1, len(r3)) if r3[k] != 0), None)
     if pivot is None:
@@ -329,20 +318,14 @@ def _w3_row(order: int) -> tuple[tuple[int, ...], int]:
 def as_eisenstein(z: CycloNum) -> tuple[int, int] | None:
     """Integers (a, b) with z = a + b*w_3, or None if no such pair exists.
 
-    Lifts z into a field containing w_3.  Over the canonical basis the
-    pivot slot of w_3 fixes b and the constant slot then fixes a; both
-    must be integers, and z must equal a + b*w_3 in every other slot.
+    Lifts z into a ring containing w_3.  Over the canonical basis the
+    pivot slot of w_3 fixes b, which must divide exactly, and the constant
+    slot then fixes a; z must equal a + b*w_3 in every other slot.
     """
     n = lcm(z.order, 3)
     c = z.lift(n).coeffs
     r3, pivot = _w3_row(n)
-    cp = _as_int(c[pivot])
-    if cp is None:
+    b, rem = divmod(c[pivot], r3[pivot])
+    if rem or c[1:] != tuple(map(b.__mul__, r3[1:])):
         return None
-    b, rem = divmod(cp, r3[pivot])
-    if rem:
-        return None
-    a = _as_int(c[0] - b * r3[0])
-    if a is None or c[1:] != tuple(map(b.__mul__, r3[1:])):
-        return None
-    return a, b
+    return c[0] - b * r3[0], b

@@ -130,9 +130,11 @@ def make_group(moduli) -> GroupSpec:
 
 
 def parse_group(spec: str) -> GroupSpec:
-    """Parse a group string like "12" or "3x3" into a GroupSpec."""
-    parts = spec.strip().lower().split("x")
+    """Parse a group string like "12" or "3x3", factors of decimal digits, into a GroupSpec."""
+    parts = spec.lower().split("x")
     try:
+        if not all(p.strip().isdecimal() for p in parts):
+            raise ValueError
         moduli = [int(p) for p in parts]
     except ValueError:
         raise ValueError(

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from itertools import islice, product
 from math import prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .atoms import (
     AtomDecomposition,
@@ -39,27 +39,19 @@ class ConsistencyError(RuntimeError):
     """An exact identity that must always hold failed; do not trust results."""
 
 
-@dataclass(frozen=True)
-class CertificateValues:
-    """Exact certificate sums attached to one skew class and character.
+class CertificateValues(NamedTuple):
+    """The exact certificate sums of one skew class and character, all integers.
 
     ``hs_sum`` is the sixth-root weighted sum over the skew class of x,
     ``atom_sum`` the plain character sum over the atom of x, and
     ``imbalance`` the i*sqrt(3)-weighted forward/backward difference over
-    the skew class.  They satisfy 2*hs_sum = atom_sum + imbalance, all
-    three are integers, 3 divides the imbalance, and atom_sum has the
-    parity of imbalance/3.  The parity follows from the rest, since
-    atom_sum - imbalance/3 = 2*hs_sum - 4*imbalance/3, so ``parity_ok``
-    is always true.
+    the skew class.  They satisfy 2*hs_sum = atom_sum + imbalance and 3
+    divides the imbalance, so atom_sum has the parity of imbalance/3.
     """
 
-    x: Element
-    alpha: Element
-    hs_sum: CycloNum
-    atom_sum: CycloNum
-    imbalance: CycloNum
-    imbalance_div3: int | None
-    parity_ok: bool
+    hs_sum: int
+    atom_sum: int
+    imbalance: int
 
 
 def atom_character_sum(group: GroupSpec, x: Element, alpha: Element) -> CycloNum:
@@ -107,15 +99,7 @@ def certificate(group: GroupSpec, x: Element, alpha: Element) -> CertificateValu
         raise ConsistencyError(
             f"imbalance {t} not divisible by 3 for x={x}, alpha={alpha}"
         )
-    return CertificateValues(
-        x=x,
-        alpha=alpha,
-        hs_sum=hs_sum,
-        atom_sum=atom_sum,
-        imbalance=imbalance,
-        imbalance_div3=t // 3,
-        parity_ok=(c - t // 3) % 2 == 0,
-    )
+    return CertificateValues(z, c, t)
 
 
 # Reduction terms one classify, spectrum or verify may cost.  At this bound

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedcayley import make_connection_set, make_group, parse_group
+from mixedcayley.cli import run
 from mixedcayley.groups import DEFAULT_SIZE_CAP, GroupSpec
 
 
@@ -73,6 +76,19 @@ def test_parse_group():
         parse_group("3x")
     with pytest.raises(ValueError):
         parse_group("abc")
+
+
+def test_parse_group_reads_decimal_digits_only():
+    """Each factor is decimal digits, so int()'s underscores and signs are refused."""
+    accepted = {"3X3": (3, 3), " 12 ": (12,), "3 x 3": (3, 3), "\u0663x\u0663": (3, 3)}
+    for spec, moduli in accepted.items():
+        assert parse_group(spec).moduli == moduli
+    for spec in ("1_2", "+12", "1__2", "-12", "3x+3", "3x", ""):
+        with pytest.raises(ValueError, match="^bad group spec"):
+            parse_group(spec)
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["atoms", "--group", spec], stdout=out, stderr=err) == 1
+        assert err.getvalue().startswith("error: bad group spec") and not out.getvalue()
 
 
 def test_elements_lexicographic():
