@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
@@ -74,7 +75,20 @@ def atom_splits(group: GroupSpec) -> tuple[Split, ...]:
     return _class_index(group).splits
 
 
-# Lookups below check membership only when the index misses, so hits cost nothing.
+# The index finds an element by equality, so it also finds (1.0,), which equals
+# and hashes like (1,).  Lookups below check membership only when the index
+# misses, and on a hit only that every coordinate is an int.
+
+
+def _int_members(group: GroupSpec, members) -> frozenset[Element]:
+    """The members as a frozenset; ValueError names a member with a coordinate
+    that is no int, unless ``group.require_element`` accepts it (a bool or
+    numpy integer)."""
+    members = frozenset(members)
+    if not {*map(type, chain.from_iterable(members))} <= {int}:
+        for x in members:
+            group.require_element(x)
+    return members
 
 
 def atom_of(group: GroupSpec, x: Element) -> frozenset[Element]:
@@ -83,10 +97,12 @@ def atom_of(group: GroupSpec, x: Element) -> frozenset[Element]:
     ``x`` must be a reduced element of the group.
     """
     try:
-        return _class_index(group).atom[x]
+        atom = _class_index(group).atom[x]
     except KeyError:
         group.require_element(x)
         raise
+    _int_members(group, (x,))
+    return atom
 
 
 def eclass_of(group: GroupSpec, x: Element) -> frozenset[Element]:
@@ -98,6 +114,7 @@ def eclass_of(group: GroupSpec, x: Element) -> frozenset[Element]:
     if cls is None:
         group.require_element(x)
         raise ValueError(f"element {x} has order {group.order_of(x)}, not divisible by 3")
+    _int_members(group, (x,))
     return cls
 
 
@@ -113,9 +130,8 @@ class AtomDecomposition:
     classes: tuple[frozenset[Element], ...]
 
 
-def _decompose(group: GroupSpec, members, class_of) -> AtomDecomposition | None:
+def _decompose(group: GroupSpec, members: frozenset[Element], class_of) -> AtomDecomposition | None:
     """The distinct classes of the members, or None if one is not a subset."""
-    members = frozenset(members)
     try:
         classes = {class_of[x] for x in members}
     except KeyError as exc:
@@ -129,7 +145,7 @@ def _decompose(group: GroupSpec, members, class_of) -> AtomDecomposition | None:
 
 def in_boolean_algebra(group: GroupSpec, members) -> AtomDecomposition | None:
     """Decompose a set into whole atoms, or None if some atom is cut."""
-    return _decompose(group, members, _class_index(group).atom)
+    return _decompose(group, _int_members(group, members), _class_index(group).atom)
 
 
 def in_skew_family(group: GroupSpec, members) -> AtomDecomposition | None:
@@ -139,7 +155,7 @@ def in_skew_family(group: GroupSpec, members) -> AtomDecomposition | None:
     disjoint from its negation; in particular, when no element has order
     divisible by 3 only the empty set passes.
     """
-    members = frozenset(members)
+    members = _int_members(group, members)
     eclasses = _class_index(group).eclass
     for x in members:
         if x not in eclasses:

@@ -16,9 +16,10 @@ import re
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
+from functools import lru_cache
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import IO
+from typing import IO, NamedTuple
 
 from .atoms import AtomDecomposition, atom_splits
 from .cayley import _terms, exact_spectrum, make_connection_set, to_dot
@@ -117,27 +118,44 @@ def _approx_text(z: CycloNum) -> str:
     return f"{re:.12f}{im:+.12f}i"
 
 
-def cyclo_to_json(z: CycloNum) -> dict:
-    """Exact canonical coefficients plus a 12-place decimal approximation.
+@lru_cache(maxsize=None)
+def _coeff_template(phi: int) -> tuple[list[str], tuple[int, ...]]:
+    """The quoted coefficients of a zero value with phi slots, and the slots."""
+    return ['"0"'] * phi, tuple(range(phi))
 
-    Each coefficient is an int, written as its decimal digits; a zero is
-    "0", so only the nonzero slots are converted.
+
+def _entry_text(alpha: Element, z: CycloNum, newline: str) -> str:
+    """``{"alpha": [...], "value": {"order", "coeffs", "approx"}}`` as
+    ``json.dumps(..., indent=2)`` writes it after ``newline``.
+
+    Each coefficient is an int, written as its quoted decimal digits; a
+    copy of the zero template gets only the nonzero slots.
     """
     cs = z.coeffs
-    text = ["0"] * len(cs)
-    for j in compress(range(len(cs)), cs):
-        text[j] = str(cs[j])
-    return {
-        "order": z.order,
-        "coeffs": text,
-        "approx": _approx_text(z),
-    }
+    template, slots = _coeff_template(len(cs))
+    coeffs = template.copy()
+    for j in compress(slots, cs):
+        coeffs[j] = f'"{cs[j]}"'
+    i1 = newline + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    return (
+        f'{{{i1}"alpha": [{i2}{("," + i2).join(map(str, alpha))}{i1}],'
+        f'{i1}"value": {{{i2}"order": {z.order},{i2}"coeffs": [{i3}{("," + i3).join(coeffs)}{i2}],'
+        f'{i2}"approx": "{_approx_text(z)}"{i1}}}{newline}}}'
+    )
 
 
-def _spectrum_entries(spectrum: dict[Element, CycloNum]) -> Iterator[dict]:
-    """The JSON entries of a spectrum, made one alpha at a time."""
-    for alpha, value in spectrum.items():
-        yield {"alpha": list(alpha), "value": cyclo_to_json(value)}
+class _Entry(NamedTuple):
+    """One spectrum entry, which ``_write_json`` writes with ``_entry_text``."""
+
+    alpha: Element
+    value: CycloNum
+
+
+def _spectrum_entries(spectrum: dict[Element, CycloNum]) -> Iterator[_Entry]:
+    """The JSON entries of a spectrum, each rendered only when it is written."""
+    return map(_Entry, spectrum.keys(), spectrum.values())
 
 
 def _class_json(rep: Element, cls: frozenset[Element]) -> dict:
@@ -183,8 +201,10 @@ def _write_json(obj, write, newline: str) -> None:
     """Pass the text of ``json.dumps(obj, indent=2)`` to ``write``, piece by
     piece, without the pure-Python encoder, for str-keyed dicts, lists,
     tuples, str, int, bool, None and iterators, which are written as lists
-    and consumed as they are written."""
-    if isinstance(obj, str):
+    and consumed as they are written; a spectrum ``_Entry`` is rendered whole."""
+    if obj.__class__ is _Entry:
+        write(_entry_text(obj.alpha, obj.value, newline))
+    elif isinstance(obj, str):
         write(_quote(obj))
     elif obj is None:
         write("null")

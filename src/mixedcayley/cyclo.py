@@ -118,14 +118,19 @@ def _power_rows(r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_plan(order: int) -> tuple[int, tuple, int]:
-    """(k, power rows of r, totient(order)) with r = rad(order) and k = order / r."""
+def _reduction_plan(order: int) -> tuple[int, tuple, int, tuple[int, ...]]:
+    """(k, power rows of r, totient(order), the slots 0..order-1) with
+    r = rad(order) and k = order / r.
+
+    The slots are kept as a tuple so that a scan over them makes no int.
+    """
     r = _radical(order)
-    return order // r, _power_rows(r), totient(order)
+    return order // r, _power_rows(r), totient(order), tuple(range(order))
 
 
 def _reduce(order: int, coeffs) -> CycloNum:
-    """Canonical form of sum_j coeffs[j] * w_order^j.
+    """Canonical form of sum_j coeffs[j] * w_order^j, for a vector of at most
+    ``order`` entries; each nonzero one is read with ``operator.index``.
 
     With r = rad(order) and k = order / r, Phi_order(x) = Phi_r(x^k), so
     x^(q*k + t) reduces to row q of the r-th power table with every
@@ -133,13 +138,14 @@ def _reduce(order: int, coeffs) -> CycloNum:
     totient(order), which is already canonical.  Row q < totient(r) is
     y^q itself, so an exponent j < totient(order) is its own slot.
     """
-    k, rows, phi = _reduction_plan(order)
+    k, rows, phi, slots = _reduction_plan(order)
+    index = operator.index
     out: list[int] = [0] * phi
-    for j in compress(range(len(coeffs)), coeffs):
+    for j in compress(slots, coeffs):
+        c = index(coeffs[j])
         if j < phi:
-            out[j] += coeffs[j]
+            out[j] += c
             continue
-        c = coeffs[j]
         q, t = divmod(j, k)
         for i, d in rows[q]:
             out[i * k + t] += c * d
@@ -292,8 +298,12 @@ def reduce_root_counts(order: int, counts) -> CycloNum:
     """Reduced sum of roots of unity with integer multiplicities.
 
     ``counts[j]`` is the (possibly negative) integer multiplicity of
-    w_order^j, unchecked on this hot path for character sums.
+    w_order^j, for at most ``order`` slots.  Each nonzero count is read
+    with ``operator.index``, so a float is a TypeError and a bool or numpy
+    integer becomes an int.
     """
+    if len(counts) > order:
+        raise ValueError(f"count vector has length {len(counts)}, more than {order}")
     return _reduce(order, counts)
 
 

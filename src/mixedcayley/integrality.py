@@ -113,7 +113,7 @@ def _require_work(group: GroupSpec, exponents: int, command: str, smaller: str) 
     # An exponent costs the terms of its row in the reduction's power table,
     # plus about 20 terms' worth for forming it.  Rows average 1.3 terms on
     # Z_256 (N = 768) but 353 on Z_715 (N = 4290).
-    _, rows, _ = _reduction_plan(group.root_order)
+    _, rows, _, _ = _reduction_plan(group.root_order)
     work = exponents * (20 * len(rows) + sum(map(len, rows))) // len(rows)
     if work > _WORK_CAP:
         raise ValueError(f"{work} reduction terms exceed the {command} bound of {_WORK_CAP}; use a smaller {smaller}")
@@ -150,21 +150,30 @@ class _SubsetFlags:
         return self.hs_spectral == (self.sym_integral and self.skew_hs_integral)
 
 
-def _subset_flags(cs: ConnectionSet) -> tuple[_SubsetFlags, dict[Element, CycloNum], dict[Element, CycloNum]]:
-    """Route verdicts for one set, with its HS and adjacency spectra.
+def _subset_flags(
+    cs: ConnectionSet, keep_hs: bool = False
+) -> tuple[_SubsetFlags, dict[Element, CycloNum] | None, dict[Element, CycloNum]]:
+    """Route verdicts for one set, with its HS spectrum and adjacency spectrum.
 
     Both characterization tests always run, so each costs one call per set.
+    The HS spectrum is the sum of the simple and skew parts; with
+    ``keep_hs`` it is summed at every alpha and returned, otherwise the sum
+    stops at the first non-integral alpha and None is returned in its place.
     """
     g = cs.group
     simple = exact_spectrum(cs, "simple_part")
     skew = exact_spectrum(cs, "skew_part")
     adjacency = exact_spectrum(cs, "adjacency")
-    hs = {a: simple[a] + skew[a] for a in g.elements}
+    hs_values = (simple[a] + skew[a] for a in g.elements)
+    hs = None
+    if keep_hs:
+        hs = dict(zip(g.elements, hs_values))
+        hs_values = hs.values()
     sym_ok = in_boolean_algebra(g, cs.sym_part) is not None
     skew_ok = in_skew_family(g, cs.skew_part) is not None
     flags = _SubsetFlags(
         hs_char=sym_ok and skew_ok,
-        hs_spectral=all(as_integer(v) is not None for v in hs.values()),
+        hs_spectral=all(as_integer(v) is not None for v in hs_values),
         eisenstein=all(as_eisenstein(v) is not None for v in adjacency.values()),
         sym_integral=all(as_integer(v) is not None for v in simple.values()),
         skew_hs_integral=all(as_integer(v) is not None for v in skew.values()),
@@ -180,7 +189,7 @@ def classify(group: GroupSpec, members) -> ClassificationReport:
     # member once, the skew part each skew member twice, adjacency each member once
     terms = len(cs.sym_part) + 2 * len(cs.skew_part) + len(cs.members)
     _require_work(group, group.order * terms, "classify", "set")
-    flags, hs, adjacency = _subset_flags(cs)
+    flags, hs, adjacency = _subset_flags(cs, keep_hs=True)
     return ClassificationReport(
         group=group,
         connection_set=cs,

@@ -18,9 +18,10 @@ from mixedcayley import make_group, parse_group
 import mixedcayley.cli as cli_mod
 from mixedcayley.cli import (
     SetSpecError,
+    _approx_text,
     _emit_json,
+    _entry_text,
     classification_to_json,
-    cyclo_to_json,
     format_set,
     parse_set,
     run,
@@ -125,18 +126,29 @@ def test_format_set_round_trip():
     assert format_set(members, g) == "1,5,11"
 
 
-def test_cyclo_json_format():
-    payload = cyclo_to_json(root(3, 1))
-    assert payload["order"] == 3
-    assert payload["coeffs"] == ["0", "1"]
-    assert payload["approx"] == "-0.500000000000+0.866025403784i"
+def entry_json(alpha, z) -> dict:
+    """The spectrum entry that ``_entry_text`` renders, as a plain JSON value."""
+    value = {"order": z.order, "coeffs": list(map(str, z.coeffs)), "approx": _approx_text(z)}
+    return {"alpha": list(alpha), "value": value}
 
 
-def test_cyclo_json_writes_integers_as_decimal_digits():
-    payload = cyclo_to_json(CycloNum(3, (1, -4, 2)))  # w^2 = -1 - w
-    assert payload["coeffs"] == ["-1", "-6"]
-    payload = cyclo_to_json(CycloNum(2, (-(10**30), 0)))
-    assert payload["coeffs"] == ["-" + "1" + "0" * 30]
+# a spectrum entry sits at depth 2 of the classify and spectrum documents
+DEPTH_2 = "\n    "
+
+
+def test_entry_text_format():
+    payload = json.loads(_entry_text((0, 1), root(3, 1), DEPTH_2))
+    assert payload["alpha"] == [0, 1]
+    assert payload["value"]["order"] == 3
+    assert payload["value"]["coeffs"] == ["0", "1"]
+    assert payload["value"]["approx"] == "-0.500000000000+0.866025403784i"
+
+
+def test_entry_text_writes_integers_as_decimal_digits():
+    payload = json.loads(_entry_text((1,), CycloNum(3, (1, -4, 2)), DEPTH_2))  # w^2 = -1 - w
+    assert payload["value"]["coeffs"] == ["-1", "-6"]
+    payload = json.loads(_entry_text((1,), CycloNum(2, (-(10**30), 0)), DEPTH_2))
+    assert payload["value"]["coeffs"] == ["-" + "1" + "0" * 30]
 
 
 coefficients = st.one_of(
@@ -147,11 +159,17 @@ coefficients = st.one_of(
 
 
 @st.composite
-def sparse_values(draw):
-    """Zero-heavy values at the benchmark's root orders, reduced or not."""
+def entry_values(draw):
+    """Values at the benchmark's root orders, reduced or not: zero-heavy ones
+    with a block and a few scattered slots set, or dense ones with every
+    slot drawn."""
     order = draw(st.sampled_from((1, 6, 486, 768, 1506)))
     phi = totient(order)
     length = draw(st.one_of(st.sampled_from((0, phi, order)), st.integers(0, order)))
+    if draw(st.booleans()):
+        rng = draw(st.randoms(use_true_random=False))
+        bound = draw(st.sampled_from((9, 10**40)))
+        return CycloNum(order, tuple(rng.randint(-bound, bound) for _ in range(length)))
     coeffs = [0] * length
     if length:
         start = draw(st.integers(0, length - 1))
@@ -162,10 +180,17 @@ def sparse_values(draw):
     return CycloNum(order, tuple(coeffs))
 
 
-@given(sparse_values())
-@settings(max_examples=60, deadline=None)
-def test_cyclo_json_coeffs_are_str_of_every_canonical_slot(z):
-    assert cyclo_to_json(z)["coeffs"] == list(map(str, z.coeffs))
+alphas = st.lists(st.integers(0, 4095), min_size=1, max_size=3).map(tuple)
+
+
+@given(alphas, entry_values())
+@settings(max_examples=80, deadline=None)
+def test_entry_text_matches_json_dumps_at_depth_2(alpha, z):
+    """The rendered entry is the text json.dumps(indent=2) gives it at depth
+    2, where every line after the first is indented four more spaces."""
+    expected = json.dumps(entry_json(alpha, z), indent=2)
+    assert _entry_text(alpha, z, DEPTH_2) == expected.replace("\n", DEPTH_2)
+    assert _entry_text(alpha, z, "\n") == expected
 
 
 def test_classification_json_schema():

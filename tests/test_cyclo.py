@@ -210,6 +210,30 @@ def test_constructor_refuses_non_integer_coefficients():
     assert pair == (6, 1) and all(type(v) is int for v in pair)
 
 
+def test_reduce_root_counts_reads_every_nonzero_count_as_an_int():
+    """The count vector of a character sum is not validated as a whole, but
+    every nonzero count is read as an int on its way into a coefficient."""
+    for order, counts in (
+        (3, [0.5, 0, 0]),
+        (3, [0, 0, 2.0]),  # the power-table path, past totient(3)
+        (6, [0, Fraction(1, 2), 0, 0, 0, 0]),
+        (2, ["1", 0]),
+    ):
+        with pytest.raises(TypeError):
+            reduce_root_counts(order, counts)
+    for order, counts in (
+        (3, [True, False, True]),
+        (6, [np.int64(4), 0, np.int64(-1), True, 0, np.int64(3)]),
+        (768, np.array([0] * 700 + [5] * 68, dtype=np.int64)),
+    ):
+        z = reduce_root_counts(order, counts)
+        assert all(type(c) is int for c in z.coeffs)
+        assert z.coeffs == reduce_root_counts(order, [int(c) for c in counts]).coeffs
+    with pytest.raises(ValueError):
+        reduce_root_counts(3, [1, 0, 0, 0])
+    assert reduce_root_counts(6, [0, 7]) == 7 * root(6, 1)  # a short vector
+
+
 def test_as_eisenstein_examples():
     assert as_eisenstein(root(3, 1)) == (0, 1)
     assert as_eisenstein(root(6, 1)) == (1, 1)

@@ -28,6 +28,7 @@ from mixedcayley import (
     verify_theorems,
 )
 from mixedcayley.cayley import character_sum
+from mixedcayley.integrality import _subset_flags
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -291,6 +292,19 @@ def test_verify_counts_match_enumeration():
     report = verify_theorems(g)
     assert report.subsets_tested == 256
     assert report.hs_integral_count == enumerate_hs_integral(g).total == 16
+
+
+def test_sweep_sums_the_hs_spectrum_only_up_to_its_first_non_integral_alpha(monkeypatch):
+    g = make_group([9])
+    cs = make_connection_set(g, {(1,)})  # HS eigenvalue 1 at alpha = 0, not an integer at (1,)
+    sums = []
+    add = CycloNum.__add__
+    monkeypatch.setattr(CycloNum, "__add__", lambda a, b: sums.append(1) or add(a, b))
+    flags, hs, _ = _subset_flags(cs)
+    assert hs is None and not flags.hs_spectral and len(sums) == 2
+    sums.clear()
+    kept, hs, _ = _subset_flags(cs, keep_hs=True)
+    assert kept == flags and len(hs) == len(sums) == 9
 
 
 def test_verify_sampled_is_deterministic():
