@@ -98,7 +98,9 @@ def character_sum(
 ) -> CycloNum:
     """Exact sum of w_N^shift * psi_alpha(x) over the (x, shift) terms, N = root_order."""
     n = group.root_order
-    exponent = group.character_exponent  # looked up per call, so tracing still sees every call
+    # looked up per call, so tracing still sees every call; each call reads the
+    # group's exponent table (see groups)
+    exponent = group.character_exponent
     counts = [0] * n
     for x, shift in terms:
         counts[(shift + exponent(alpha, x)) % n] += 1

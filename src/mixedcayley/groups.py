@@ -5,14 +5,23 @@ moduli; elements are plain tuples of reduced coordinates.  Every root of
 unity produced by a character lives in one common cyclotomic order
 N = lcm(6, exponent), so sums involving the sixth roots of unity stay in
 a single field.
+
+Character exponents come from one table per group.  Its column for an
+element x holds the exponent of psi_alpha(x) for every alpha, in the order
+of ``elements``; a column is built the first time x is asked for, so a
+graph that reads only its 2|S| members and their negations never builds
+the other n - 2|S| columns.  Each entry is an unsigned 16-bit int
+(``array("H")``, 2 bytes): N <= 6 * DEFAULT_SIZE_CAP = 24576 < 2^16, so
+every exponent in [0, N) fits exactly.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import index, mul
+from operator import index
 
 Element = tuple[int, ...]
 
@@ -83,7 +92,10 @@ class GroupSpec:
     def require_element(self, x) -> None:
         """Raise ValueError naming x unless it is a reduced element of the group."""
         if not self.contains(x):
-            raise ValueError(f"{x} is not a reduced element of group {self.spec_string()}")
+            raise self._foreign(x)
+
+    def _foreign(self, x) -> ValueError:
+        return ValueError(f"{x} is not a reduced element of group {self.spec_string()}")
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple((a + b) % n for a, b, n in zip(x, y, self.moduli))
@@ -112,16 +124,61 @@ class GroupSpec:
         """The factors N/n_j that lift each coordinate's root to order N."""
         return tuple(self.root_order // n for n in self.moduli)
 
+    @cached_property
+    def _index(self) -> dict[Element, int]:
+        """Position of each element in ``elements``: the table's row index."""
+        return {x: i for i, x in enumerate(self.elements)}
+
+    @cached_property
+    def _columns(self) -> _Columns:
+        return _Columns(self)
+
     def character_exponent(self, alpha: Element, x: Element) -> int:
         """Exponent e with psi_alpha(x) = w_N^e, N = root_order.
 
         The character value is prod_j w_{n_j}^{alpha_j x_j}; each factor is
-        lifted to order N by scaling its exponent by N/n_j.
+        lifted to order N by scaling its exponent by N/n_j.  The value is
+        read from the group's exponent table.  Both arguments must be
+        elements: a tuple equal to one of ``elements``, anything else
+        raises ValueError naming it.
         """
-        return sum(map(mul, map(mul, alpha, x), self._lift)) % self.root_order
+        try:
+            return self._columns[x][self._index[alpha]]
+        except (KeyError, TypeError):  # TypeError: an unhashable argument
+            for y in (alpha, x):
+                try:
+                    self._index[y]
+                except (KeyError, TypeError):
+                    raise self._foreign(y) from None
+            raise
 
     def spec_string(self) -> str:
         return "x".join(str(n) for n in self.moduli)
+
+
+class _Columns(dict):
+    """One group's exponent table: the column of each element x read so far."""
+
+    def __init__(self, group: GroupSpec) -> None:
+        super().__init__()
+        self._elements = group.elements
+        self._index = group._index
+        self._factors = tuple(zip(group._lift, group.moduli))
+        self._order = group.root_order
+
+    def __missing__(self, x) -> array:
+        # build from the canonical element, so an equal key such as (1.0,)
+        # gets the int column of (1,); a foreign x raises KeyError here
+        x = self._elements[self._index[x]]
+        n = self._order
+        # sum_j lift_j x_j alpha_j, one factor at a time in the nesting
+        # order of ``elements``: about 3x faster than a sum per alpha
+        column = [0]
+        for c, (lift, m) in zip(x, self._factors):
+            step = lift * c
+            column = [(e + k * step) % n for e in column for k in range(m)]
+        column = self[x] = array("H", column)
+        return column
 
 
 def make_group(moduli) -> GroupSpec:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import io
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedcayley import make_connection_set, make_group, parse_group
+from mixedcayley import classify, make_connection_set, make_group, parse_group
 from mixedcayley.cli import run
 from mixedcayley.groups import DEFAULT_SIZE_CAP, GroupSpec
 
@@ -201,10 +202,97 @@ def test_character_symmetry_and_order(gxs):
     assert g.order_of(x) * g.character_exponent(alpha, x) % g.root_order == 0
 
 
+def literal_exponent(g, alpha, x):
+    """sum_j (N/n_j) alpha_j x_j mod N, written out with no table and no _lift."""
+    N = g.root_order
+    return sum((N // n) * a * c for a, c, n in zip(alpha, x, g.moduli)) % N
+
+
 @given(group_with_elements(count=2))
 @settings(max_examples=300)
 def test_character_exponent_matches_literal_sum(gxs):
     g, alpha, x = gxs
-    N = g.root_order
-    expected = sum((N // n) * a * c for a, c, n in zip(alpha, x, g.moduli)) % N
-    assert g.character_exponent(alpha, x) == expected
+    assert g.character_exponent(alpha, x) == literal_exponent(g, alpha, x)
+
+
+# -- the exponent table behind character_exponent
+
+
+TABLE_GROUPS_ALL_PAIRS = ([12], [3, 4], [2, 6], [2, 2, 9], [3, 3, 3], [4, 4, 4], [36])
+TABLE_GROUPS_SAMPLED = ([4096], [2, 2048])
+
+
+def table_pairs(g):
+    """Every (alpha, x) of a small group; 2,000 seeded pairs of a large one."""
+    if g.order <= 64:
+        return [(a, x) for a in g.elements for x in g.elements]
+    rng = random.Random(g.order)
+    return [(rng.choice(g.elements), rng.choice(g.elements)) for _ in range(2000)]
+
+
+def table_mismatches(g):
+    """(alpha, x) pairs where the table misses the literal sum or the symmetry."""
+    return [
+        (a, x)
+        for a, x in table_pairs(g)
+        if not g.character_exponent(a, x) == g.character_exponent(x, a) == literal_exponent(g, a, x)
+    ]
+
+
+@pytest.mark.parametrize("moduli", TABLE_GROUPS_ALL_PAIRS + TABLE_GROUPS_SAMPLED)
+def test_exponent_table_matches_literal_sum(moduli):
+    g = make_group(moduli)
+    assert table_mismatches(g) == []
+
+
+@pytest.mark.parametrize("moduli", [[12], [2, 2, 9], [4, 4, 4], [36]])
+def test_exponent_table_check_catches_a_wrong_lift(monkeypatch, moduli):
+    def lift_off_by_one(self):
+        lift = tuple(self.root_order // n for n in self.moduli)
+        return lift[:-1] + (lift[-1] + 1,)
+
+    monkeypatch.setattr(GroupSpec, "_lift", property(lift_off_by_one))
+    assert table_mismatches(make_group(moduli))
+
+
+FOREIGN_ON_Z12 = [(12,), (13,), (-1,), (1, 2), (), (1.5,), [1], "a"]
+
+
+@pytest.mark.parametrize("foreign", FOREIGN_ON_Z12, ids=repr)
+def test_character_exponent_refuses_a_non_element_in_either_position(foreign):
+    fresh, built = make_group([12]), make_group([12])
+    for x in built.elements:
+        built.character_exponent(x, x)  # every column exists
+    message = f"{foreign} is not a reduced element of group 12"
+    for g in (fresh, built):
+        with pytest.raises(ValueError) as exc:
+            g.character_exponent(foreign, (1,))
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            g.character_exponent((1,), foreign)
+        assert str(exc.value) == message
+    assert len(fresh._columns) <= 1  # a foreign x built no column
+
+
+def test_character_exponent_reads_keys_equal_to_an_element_whatever_the_cache():
+    # (1.0,), (True,) and (np.int64(1),) equal the key (1,) of the element
+    # index, so they are read as (1,), before or after its column exists
+    for equal in [(1.0,), (True,), (np.int64(1),)]:
+        fresh = make_group([12])
+        values = [fresh.character_exponent(equal, (5,)), fresh.character_exponent((5,), equal)]
+        assert list(fresh._columns) == [(5,), (1,)]
+        assert all(type(c) is int for key in fresh._columns for c in key)  # canonical keys
+        built = make_group([12])
+        built.character_exponent((5,), (1,))
+        built.character_exponent((1,), (5,))
+        values += [built.character_exponent(equal, (5,)), built.character_exponent((5,), equal)]
+        assert values == [5] * 4 and all(type(v) is int for v in values)
+
+
+def test_classify_at_2048_builds_only_the_columns_it_reads():
+    g = make_group([2048])
+    members = {(s,) for s in (1, 2, 3, 5, 7, 11, 13, 17)}
+    classify(g, members)
+    # the members and their negations, not the 2048 x 2048 table
+    assert set(g._columns) == members | {g.neg(s) for s in members}
+    assert len(g._columns) <= 16
