@@ -4,19 +4,21 @@ The connection set splits canonically into a symmetric part (undirected
 edges) and a skew part (directed arcs).  Spectra are computed exactly as
 character sums over the group, never from the matrix; the dense matrices
 and the LAPACK eigensolver exist only as an independent numeric
-cross-check of those closed forms.
+cross-check of those closed forms.  numpy serves only that cross-check,
+so it is imported when the oracle first runs, not with the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .cyclo import CycloNum, reduce_root_counts
 from .groups import Element, GroupSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SPECTRUM_KINDS = ("hs", "adjacency", "simple_part", "skew_part")
 
@@ -146,6 +148,8 @@ def exact_spectrum(cs: ConnectionSet, kind: str = "hs") -> dict[Element, CycloNu
 
 
 def hermitian_complex(m: MixedGraphMatrices) -> np.ndarray:
+    import numpy as np
+
     return np.array(
         [[_ENTRY_VALUES[e] for e in row] for row in m.hermitian2], dtype=complex
     )
@@ -155,6 +159,8 @@ def numeric_hermitian_eigenvalues(m: MixedGraphMatrices) -> list[float]:
     """Eigenvalues of the complex Hermitian matrix, ascending, from LAPACK."""
     if m.n > MAX_ORACLE_SIZE:
         raise ValueError(f"numeric oracle capped at n <= {MAX_ORACLE_SIZE}, got {m.n}")
+    import numpy as np
+
     try:
         return [float(v) for v in np.linalg.eigvalsh(hermitian_complex(m))]
     except np.linalg.LinAlgError as exc:

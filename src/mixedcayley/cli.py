@@ -15,7 +15,7 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import lru_cache
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -428,7 +428,9 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes usage, errors and --help to sys.stdout/sys.stderr
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -242,6 +242,38 @@ def test_cli_input_errors_exit_1():
     assert code == 1
 
 
+def test_run_sends_argparse_output_to_the_given_streams(capsys):
+    code, out, err = run_cli("classify", "--group", "7", "--bogus")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: mixedcayley ")
+    assert "unrecognized arguments: --bogus" in err
+    code, out, err = run_cli()
+    assert code == 1 and out == ""
+    assert "the following arguments are required: command" in err
+    code, out, err = run_cli("--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: mixedcayley ") and "classify" in out
+    assert capsys.readouterr() == ("", "")
+
+
+def test_console_prints_argparse_output_to_the_process_streams():
+    """``main()`` keeps its streams and exit codes for a usage error and --help."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_mod.__file__).resolve().parents[1]))
+
+    def console(*argv):
+        return subprocess.run(
+            [sys.executable, "-B", "-m", "mixedcayley", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    bad = console("classify", "--group", "7", "--bogus")
+    assert bad.returncode == 1 and bad.stdout == ""
+    assert "unrecognized arguments: --bogus" in bad.stderr
+    helped = console("--help")
+    assert helped.returncode == 0 and helped.stderr == ""
+    assert helped.stdout.startswith("usage: mixedcayley ")
+
+
 def test_cli_spectrum_json():
     code, out, _ = run_cli(
         "spectrum", "--group", "3x3", "--set", "(0,1),(1,0),(2,0)",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -64,8 +65,8 @@ def test_classify_at_2048_streams_identical_output_in_bounded_memory():
     assert proc.returncode == 0, stderr
     assert size == Z2048_BYTES
     assert digest.hexdigest() == Z2048_SHA256
-    label, value = stderr.split()
-    assert label == "peak_rss_kb"
-    peak_mb = int(value) / 1024  # Linux reports ru_maxrss in KiB
+    report = re.fullmatch(r"peak_rss_kb (\d+)\n", stderr)
+    assert report, f"expected one peak_rss_kb line on stderr, got {stderr!r}"
+    peak_mb = int(report[1]) / 1024  # Linux reports ru_maxrss in KiB
     assert peak_mb < MAX_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
     assert wall < MAX_WALL_S, f"took {wall:.1f} s"
