@@ -17,12 +17,11 @@ import sys
 from collections.abc import Iterator
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import lru_cache
-from itertools import compress, repeat
-from json.encoder import encode_basestring_ascii as _quote
-from typing import IO, NamedTuple
+from itertools import compress
+from typing import IO
 
 from .atoms import AtomDecomposition, atom_splits
-from .cayley import _terms, exact_spectrum, make_connection_set, to_dot
+from .cayley import SPECTRUM_KINDS, _terms, exact_spectrum, make_connection_set, to_dot
 from .cyclo import CycloNum
 from .groups import Element, GroupSpec, parse_group
 from .integrality import (
@@ -146,18 +145,6 @@ def _entry_text(alpha: Element, z: CycloNum, newline: str) -> str:
     )
 
 
-class _Entry(NamedTuple):
-    """One spectrum entry, which ``_write_json`` writes with ``_entry_text``."""
-
-    alpha: Element
-    value: CycloNum
-
-
-def _spectrum_entries(spectrum: dict[Element, CycloNum]) -> Iterator[_Entry]:
-    """The JSON entries of a spectrum, each rendered only when it is written."""
-    return map(_Entry, spectrum.keys(), spectrum.values())
-
-
 def _class_json(rep: Element, cls: frozenset[Element]) -> dict:
     return {"rep": list(rep), "members": [list(x) for x in sorted(cls)]}
 
@@ -169,8 +156,8 @@ def decomposition_to_json(dec: AtomDecomposition | None) -> list[dict] | None:
 
 
 def classification_to_json(report: ClassificationReport) -> dict:
-    """The classify document; each spectrum is an iterator of its entries,
-    made one alpha at a time as it is written."""
+    """The classify document; each spectrum is an iterator of its
+    ``(alpha, value)`` pairs, which ``_emit_json`` renders one at a time."""
     g = report.group
     return {
         "group": g.spec_string(),
@@ -179,8 +166,8 @@ def classification_to_json(report: ClassificationReport) -> dict:
         "eisenstein_integral": report.eisenstein_verdict_spectral,
         "sym_atoms": decomposition_to_json(report.sym_decomposition),
         "skew_classes": decomposition_to_json(report.skew_decomposition),
-        "hs_spectrum": _spectrum_entries(report.hs_spectrum),
-        "a_spectrum": _spectrum_entries(report.a_spectrum),
+        "hs_spectrum": iter(report.hs_spectrum.items()),
+        "a_spectrum": iter(report.a_spectrum.items()),
         "consistent": report.consistency,
     }
 
@@ -197,55 +184,10 @@ def verification_to_json(report: VerificationReport) -> dict:
     }
 
 
-def _write_json(obj, write, newline: str) -> None:
-    """Pass the text of ``json.dumps(obj, indent=2)`` to ``write``, piece by
-    piece, without the pure-Python encoder, for str-keyed dicts, lists,
-    tuples, str, int, bool, None and iterators, which are written as lists
-    and consumed as they are written; a spectrum ``_Entry`` is rendered whole."""
-    if obj.__class__ is _Entry:
-        write(_entry_text(obj.alpha, obj.value, newline))
-    elif isinstance(obj, str):
-        write(_quote(obj))
-    elif obj is None:
-        write("null")
-    elif obj is True:
-        write("true")
-    elif obj is False:
-        write("false")
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
-            write(sep + _quote(key) + ": ")
-            _write_json(value, write, inner)
-            sep = "," + inner
-        write(newline + "}")
-    elif isinstance(obj, (list, tuple)) and obj and all(map(isinstance, obj, repeat(str))):
-        inner = newline + "  "
-        write("[" + inner + ("," + inner).join(map(_quote, obj)) + newline + "]")
-    elif isinstance(obj, (list, tuple, Iterator)):
-        inner = newline + "  "
-        opening = sep = "[" + inner
-        for value in obj:
-            write(sep)
-            _write_json(value, write, inner)
-            sep = "," + inner
-        write("[]" if sep is opening else newline + "]")
-    else:
-        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
-
-
 @contextmanager
 def _opened(out_path: str | None, stream: IO[str]):
     """The ``--out`` file opened for writing, or ``stream`` without one."""
-    if not out_path:
+    if out_path is None:
         yield stream
         return
     try:
@@ -261,11 +203,25 @@ def _emit(text: str, out_path: str | None, stream: IO[str]) -> None:
         fh.write(text)
 
 
-def _emit_json(obj, out_path: str | None, stream: IO[str]) -> None:
-    """Write ``obj`` as indented JSON and a newline, piece by piece as it is made."""
+def _emit_json(doc: dict[str, object], out_path: str | None, stream: IO[str]) -> None:
+    """Write ``doc`` as ``json.dumps(doc, indent=2)`` and a newline.  A value
+    that is an iterator of ``(alpha, value)`` pairs is a spectrum, written one
+    entry at a time as it is made."""
     with _opened(out_path, stream) as fh:
-        _write_json(obj, fh.write, "\n")
-        fh.write("\n")
+        sep = "{"
+        for key, value in doc.items():
+            fh.write(f"{sep}\n  {json.dumps(key)}: ")
+            if isinstance(value, Iterator):
+                entry_sep = "["
+                for alpha, z in value:
+                    fh.write(entry_sep + "\n    " + _entry_text(alpha, z, "\n    "))
+                    entry_sep = ","
+                fh.write("[]" if entry_sep == "[" else "\n  ]")
+            else:
+                # JSON escapes every newline inside a string, so this only indents
+                fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+            sep = ","
+        fh.write("{}\n" if sep == "{" else "\n}\n")
 
 
 def _classification_text(report: ClassificationReport) -> str:
@@ -310,7 +266,7 @@ def _run_spectrum(args, stdout: IO[str]) -> int:
             "group": group.spec_string(),
             "set": format_set(members, group),
             "kind": args.kind,
-            "entries": _spectrum_entries(spectrum),
+            "entries": iter(spectrum.items()),
         }
         _emit_json(payload, args.out, stdout)
     return 0
@@ -390,11 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="exact eigenvalues of one matrix kind")
     add_common(p, with_set=True)
-    p.add_argument(
-        "--kind",
-        choices=("hs", "adjacency", "simple_part", "skew_part"),
-        default="hs",
-    )
+    p.add_argument("--kind", choices=SPECTRUM_KINDS, default="hs")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("atoms", help="list atoms and skew classes of a group")

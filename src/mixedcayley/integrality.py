@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from itertools import islice, product
 from math import prod
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .atoms import (
     AtomDecomposition,
@@ -268,7 +268,7 @@ class VerificationReport:
 
 
 def _check_masks(
-    moduli: tuple[int, ...], masks: list[int]
+    moduli: tuple[int, ...], masks: Sequence[int]
 ) -> tuple[int, list[dict]]:
     """Worker: classify each masked subset, return HS count and failures."""
     group = make_group(moduli)
@@ -341,16 +341,14 @@ def verify_theorems(
     certificates = sum(len(atom) * (len(atom) + 10) for atom, classes in atom_splits(group) if classes)
     _require_work(group, n * (3 * (n - 1) * tested + 2 * certificates), "verify", "budget")
     if exhaustive:
-        masks = list(range(total))
+        masks: Sequence[int] = range(total)
     else:
+        # distinct draws, kept in the order they were first drawn
         rng = random.Random(seed)
-        seen: set[int] = set()
-        masks = []
-        while len(masks) < budget:
-            m = rng.getrandbits(n - 1)
-            if m not in seen:
-                seen.add(m)
-                masks.append(m)
+        drawn: dict[int, None] = {}
+        while len(drawn) < budget:
+            drawn[rng.getrandbits(n - 1)] = None
+        masks = list(drawn)
 
     # the pool starts all its workers at once, so never ask for more than the CPUs
     jobs = min(jobs, os.cpu_count() or 1)

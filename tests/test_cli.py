@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixedcayley import make_group, parse_group
@@ -390,9 +390,14 @@ def test_cli_out_file(tmp_path):
     assert payload["hs_integral"] is True
 
 
-@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+@pytest.mark.parametrize("where", ["directory", "missing_parent", "empty"])
 def test_cli_unwritable_out_exits_1(tmp_path, where):
-    target = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    # only a missing --out means stdout; "" is what an unset shell variable gives
+    target = {
+        "directory": tmp_path,
+        "missing_parent": tmp_path / "missing" / "report.json",
+        "empty": "",
+    }[where]
     code, out, err = run_cli(
         "classify", "--group", "4", "--set", "2", "--out", str(target)
     )
@@ -527,6 +532,9 @@ GOLDEN_STDOUT = [
      "15eb325b745d71a8071c1755bac811794c08e787aa1372d468ddd8cafded92e8"),
     (("atoms", "--group", "3x3x3", "--format", "text"),
      "97d174e91466c5afd178527b163f2b3f3f8fff0cd702a808e83205f45fc9c726"),
+    # a sampled sweep: 64 of the 2048 subsets of Z_12, drawn with seed 3
+    (("verify", "--group", "12", "--budget", "64", "--seed", "3"),
+     "7e0337441384c2b490fdf837cd19d8de8f40102422ce3e96cf7460a70b34d4a3"),
 ]
 
 
@@ -555,45 +563,69 @@ json_values = st.recursive(
 )
 
 
-def _lazy(value):
-    """The same JSON value with every list turned into a one-shot iterator."""
-    if isinstance(value, dict):
-        return {k: _lazy(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return iter([_lazy(v) for v in value])
-    return value
+class Pairs(list):
+    """The ``(alpha, value)`` pairs of one spectrum in a drawn document."""
 
 
-def emitted(value) -> str:
-    out = io.StringIO()
-    _emit_json(value, None, out)
-    return out.getvalue()
+spectra = st.lists(st.tuples(alphas, entry_values()), max_size=3).map(Pairs)
+documents = st.dictionaries(json_text, st.one_of(json_values, spectra), max_size=5)
 
 
-@given(json_values)
-@settings(max_examples=300, deadline=None)
-def test_dump_json_matches_json_dumps_indent_2(value):
-    assert emitted(value) == json.dumps(value, indent=2) + "\n"
-
-
-@given(json_values)
-@settings(max_examples=200, deadline=None)
-def test_streamed_json_matches_dump_json(value):
-    """Lists given as one-shot iterators are written piece by piece, and the
-    pieces join to the same document json.dumps makes of the eager value."""
+def emitted_lazily(doc):
+    """Write ``doc`` with every spectrum a one-shot iterator.  Returns the
+    writes, the document json.dumps should match (every spectrum a list of
+    entries), and for each drawn entry the writes made while it was current
+    together with its expected text."""
     stream = RecordingStream()
-    _emit_json(_lazy(value), None, stream)
-    assert "".join(stream.writes) == json.dumps(value, indent=2) + "\n"
+    drawn = []
+
+    def lazy(pairs):
+        for alpha, z in pairs:
+            before = len(stream.writes)
+            yield alpha, z
+            drawn.append((stream.writes[before:], _entry_text(alpha, z, DEPTH_2)))
+
+    lazy_doc = {k: lazy(v) if isinstance(v, Pairs) else v for k, v in doc.items()}
+    eager = {k: [entry_json(*p) for p in v] if isinstance(v, Pairs) else v for k, v in doc.items()}
+    _emit_json(lazy_doc, None, stream)
+    return stream.writes, eager, drawn
+
+
+@given(documents)
+@example({})
+@example({"entries": Pairs()})
+@settings(max_examples=150, deadline=None)
+def test_dump_json_matches_json_dumps_indent_2(doc):
+    """A document whose spectra are one-shot iterators is written as the text
+    json.dumps(indent=2) makes of it with every spectrum a list of entries."""
+    writes, eager, _ = emitted_lazily(doc)
+    assert "".join(writes) == json.dumps(eager, indent=2) + "\n"
+
+
+@given(documents)
+@settings(max_examples=150, deadline=None)
+def test_streamed_json_matches_dump_json(doc):
+    """Every spectrum entry is drawn once and arrives in its own write, made
+    before the next entry is drawn."""
+    _, _, drawn = emitted_lazily(doc)
+    assert len(drawn) == sum(len(v) for v in doc.values() if isinstance(v, Pairs))
+    for writes, text in drawn:
+        assert len(writes) == 1 and writes[0].endswith(text)
 
 
 def test_emit_json_edge_cases():
-    for value in ([], {}, (), [[]], {"a": {}}, ["x", 1], [True, False, None], -(2**100)):
-        expected = json.dumps(value, indent=2) + "\n"
-        assert emitted(value) == expected
-        assert emitted(_lazy(value)) == expected
-    for bad in (1.5, {1: "a"}, {"a": {1, 2}}):
+    for doc in (
+        {},
+        {"entries": Pairs()},
+        {"a": {}, "b": [], "c": [[]], "d": ()},
+        {"multi\nline": "a\nb\r\u2028", "big": -(2**100)},
+    ):
+        writes, eager, _ = emitted_lazily(doc)
+        assert "".join(writes) == json.dumps(eager, indent=2) + "\n"
+    # only a top-level iterator is a spectrum; the rest is json.dumps's to refuse
+    for bad in ({"a": {1, 2}}, {"a": [iter(())]}, {"a": {"b": iter(())}}):
         with pytest.raises(TypeError):
-            emitted(bad)
+            _emit_json(bad, None, io.StringIO())
 
 
 # -- streamed output: classify and spectrum write one alpha entry at a

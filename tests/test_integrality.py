@@ -326,6 +326,29 @@ def test_verify_parallel_matches_serial():
     assert serial.counterexamples == parallel.counterexamples
 
 
+def test_exhaustive_sweep_holds_no_list_of_masks(monkeypatch):
+    """With the per-subset and certificate checks stubbed, an exhaustive
+    sweep of Z_15 (16384 subsets) allocates almost nothing: its masks come
+    from a range.  A list of them would take about 600 KB."""
+    import tracemalloc
+
+    import mixedcayley.integrality as integrality
+
+    swept = []
+    monkeypatch.setattr(integrality, "_check_masks", lambda moduli, masks: swept.append(len(masks)) or (0, []))
+    monkeypatch.setattr(integrality, "_certificate_counterexamples", lambda group: [])
+    g = make_group([15])
+    verify_theorems(g, budget=2**14)  # warm the per-group caches first
+    tracemalloc.start()
+    try:
+        report = verify_theorems(g, budget=2**14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.exhaustive and report.subsets_tested == swept[-1] == 2**14
+    assert peak < 64 * 1024
+
+
 # Run with the address space capped at 512 MiB, so that a sweep that builds
 # its masks fails fast with MemoryError instead of filling the machine.
 OVER_THE_CAP = """
