@@ -105,7 +105,11 @@ def character_sum(
     exponent = group.character_exponent
     counts = [0] * n
     for x, shift in terms:
-        counts[(shift + exponent(alpha, x)) % n] += 1
+        # an exponent lies in [0, n) already; only a shifted one can wrap
+        if shift:
+            counts[(shift + exponent(alpha, x)) % n] += 1
+        else:
+            counts[exponent(alpha, x)] += 1
     return reduce_root_counts(n, counts)
 
 

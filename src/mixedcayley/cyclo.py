@@ -97,14 +97,24 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_rows(r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row q = the nonzero (i, c) terms of y^q modulo Phi_r(y), for q < r."""
+def _reduction_plan(order: int) -> tuple[tuple, int, tuple[tuple, ...]]:
+    """(rows, totient(order), slots) with r = rad(order) and k = order / r.
+
+    Row q, for q < r, holds the nonzero (i*k, c) terms of y^q modulo
+    Phi_r(y): its exponents come already multiplied by k.  Equal terms are
+    one shared tuple, so the table costs a pointer per term.  Slot j is
+    (j, row j // k, j % k): a scan over the slots makes no int, and a slot
+    points at its row rather than holding one.
+    """
+    r = _radical(order)
+    k = order // r
     phi = totient(r)
     low = [(i, c) for i, c in enumerate(cyclotomic_poly(r)[:phi]) if c]
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
     rows = []
     row = {0: 1}
     for _ in range(r):
-        rows.append(tuple(row.items()))
+        rows.append(tuple(shared.setdefault(t, (t[0] * k, t[1])) for t in row.items()))
         lead = row.pop(phi - 1, 0)
         row = {i + 1: c for i, c in row.items()}
         if lead:  # y^phi = -(low terms of Phi_r)
@@ -114,18 +124,9 @@ def _power_rows(r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                     row[i] = v
                 else:
                     del row[i]
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _reduction_plan(order: int) -> tuple[int, tuple, int, tuple[int, ...]]:
-    """(k, power rows of r, totient(order), the slots 0..order-1) with
-    r = rad(order) and k = order / r.
-
-    The slots are kept as a tuple so that a scan over them makes no int.
-    """
-    r = _radical(order)
-    return order // r, _power_rows(r), totient(order), tuple(range(order))
+    # slot j = (j, row q, t) for j = q*k + t, in order
+    slots = zip(range(order), [rows[q] for q in range(r) for _ in range(k)], list(range(k)) * r)
+    return tuple(rows), phi * k, tuple(slots)
 
 
 def _reduce(order: int, coeffs) -> CycloNum:
@@ -133,23 +134,21 @@ def _reduce(order: int, coeffs) -> CycloNum:
     ``order`` entries; each nonzero one is read with ``operator.index``.
 
     With r = rad(order) and k = order / r, Phi_order(x) = Phi_r(x^k), so
-    x^(q*k + t) reduces to row q of the r-th power table with every
-    exponent i moved to i*k + t.  Those land below totient(r) * k =
-    totient(order), which is already canonical.  Row q < totient(r) is
-    y^q itself, so an exponent j < totient(order) is its own slot.
+    x^(q*k + t) reduces to row q of the r-th power table, whose exponents
+    i*k each move to i*k + t.  Those land below totient(r) * k =
+    totient(order), which is already canonical.
     """
-    k, rows, phi, slots = _reduction_plan(order)
+    rows, phi, slots = _reduction_plan(order)
     index = operator.index
     out: list[int] = [0] * phi
-    for j in compress(slots, coeffs):
+    for j, row, t in compress(slots, coeffs):
         c = index(coeffs[j])
-        if j < phi:
-            out[j] += c
-            continue
-        q, t = divmod(j, k)
-        for i, d in rows[q]:
-            out[i * k + t] += c * d
-    return _cyclo(order, tuple(out))
+        for i, d in row:
+            out[i + t] += c * d
+    z = _new_object(CycloNum)  # canonical by construction, as in _cyclo
+    _set_order(z, order)
+    _set_coeffs(z, tuple(out))
+    return z
 
 
 @lru_cache(maxsize=None)

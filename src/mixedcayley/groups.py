@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import index
+from operator import index, mod
 
 Element = tuple[int, ...]
 
@@ -78,7 +78,7 @@ class GroupSpec:
             raise ValueError(
                 f"element {coords} has {len(coords)} coordinates, expected {len(self.moduli)}"
             )
-        return tuple(index(c) % n for c, n in zip(coords, self.moduli))
+        return tuple(map(mod, map(index, coords), self.moduli))
 
     def contains(self, x: Element) -> bool:
         """True when x has one reduced int coordinate per factor; a float is foreign."""

@@ -31,7 +31,7 @@ from .cayley import (
     exact_spectrum,
     make_connection_set,
 )
-from .cyclo import CycloNum, _reduction_plan, as_eisenstein, as_integer, root
+from .cyclo import CycloNum, _reduction_plan, as_eisenstein, as_integer, reduce_root_counts
 from .groups import Element, GroupSpec, make_group
 
 
@@ -73,15 +73,26 @@ def certificate(group: GroupSpec, x: Element, alpha: Element) -> CertificateValu
     eclass = eclass_of(group, x)  # ValueError unless x is in the group and 3 divides its order
     group.require_element(alpha)
     n = group.root_order
-    forward = character_sum(group, alpha, [(s, 0) for s in eclass])
-    backward = character_sum(group, alpha, [(group.neg(s), 0) for s in eclass])
+    up, down = n // 6, 5 * n // 6  # the exponents of w6 and w6^5
+    exponent = group.character_exponent
+    # one pass over the skew class fills both count vectors:
+    # hs = w6*psi(s) + w6^5*psi(-s), and the imbalance is
+    # i*sqrt(3)*(psi(s) - psi(-s)) with i*sqrt(3) = w6 - w6^5
+    hs = [0] * n
+    imb = [0] * n
+    for s in eclass:
+        e = exponent(alpha, s)
+        f = exponent(alpha, group.neg(s))
+        forward, backward = (e + up) % n, (f + down) % n
+        hs[forward] += 1
+        hs[backward] += 1
+        imb[forward] += 1
+        imb[backward] += 1
+        imb[(e + down) % n] -= 1
+        imb[(f + up) % n] -= 1
+    hs_sum = reduce_root_counts(n, hs)
+    imbalance = reduce_root_counts(n, imb)
     atom_sum = atom_character_sum(group, x, alpha)
-    # w6^5 = 1 - w6, so w6*F + w6^5*B = B + w6*(F - B), and the imbalance
-    # i*sqrt(3)*(F - B) has i*sqrt(3) = w6 - w6^5 = 2*w6 - 1
-    diff = forward - backward
-    turned = root(n, n // 6) * diff
-    hs_sum = backward + turned
-    imbalance = 2 * turned - diff
 
     z = as_integer(hs_sum)
     c = as_integer(atom_sum)
@@ -113,7 +124,7 @@ def _require_work(group: GroupSpec, exponents: int, command: str, smaller: str) 
     # An exponent costs the terms of its row in the reduction's power table,
     # plus about 20 terms' worth for forming it.  Rows average 1.3 terms on
     # Z_256 (N = 768) but 353 on Z_715 (N = 4290).
-    _, rows, _, _ = _reduction_plan(group.root_order)
+    rows, _, _ = _reduction_plan(group.root_order)
     work = exponents * (20 * len(rows) + sum(map(len, rows))) // len(rows)
     if work > _WORK_CAP:
         raise ValueError(f"{work} reduction terms exceed the {command} bound of {_WORK_CAP}; use a smaller {smaller}")
@@ -156,27 +167,33 @@ def _subset_flags(
     """Route verdicts for one set, with its HS spectrum and adjacency spectrum.
 
     Both characterization tests always run, so each costs one call per set.
-    The HS spectrum is the sum of the simple and skew parts; with
-    ``keep_hs`` it is summed at every alpha and returned, otherwise the sum
-    stops at the first non-integral alpha and None is returned in its place.
+    The HS spectrum is the sum of the simple and skew parts, formed after
+    their own flags: each HS value takes the place of its two parts, so no
+    more than two spectra are held at once.  With ``keep_hs`` it is summed
+    at every alpha and returned, otherwise the sum stops at the first
+    non-integral alpha and None is returned in its place.
     """
     g = cs.group
     simple = exact_spectrum(cs, "simple_part")
     skew = exact_spectrum(cs, "skew_part")
-    adjacency = exact_spectrum(cs, "adjacency")
-    hs_values = (simple[a] + skew[a] for a in g.elements)
+    sym_integral = all(as_integer(v) is not None for v in simple.values())
+    skew_hs_integral = all(as_integer(v) is not None for v in skew.values())
+    hs_values = (simple.pop(a) + skew.pop(a) for a in g.elements)
     hs = None
     if keep_hs:
         hs = dict(zip(g.elements, hs_values))
         hs_values = hs.values()
+    hs_spectral = all(as_integer(v) is not None for v in hs_values)
+    del simple, skew
+    adjacency = exact_spectrum(cs, "adjacency")
     sym_ok = in_boolean_algebra(g, cs.sym_part) is not None
     skew_ok = in_skew_family(g, cs.skew_part) is not None
     flags = _SubsetFlags(
         hs_char=sym_ok and skew_ok,
-        hs_spectral=all(as_integer(v) is not None for v in hs_values),
+        hs_spectral=hs_spectral,
         eisenstein=all(as_eisenstein(v) is not None for v in adjacency.values()),
-        sym_integral=all(as_integer(v) is not None for v in simple.values()),
-        skew_hs_integral=all(as_integer(v) is not None for v in skew.values()),
+        sym_integral=sym_integral,
+        skew_hs_integral=skew_hs_integral,
     )
     return flags, hs, adjacency
 

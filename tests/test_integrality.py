@@ -134,6 +134,35 @@ def test_certificate_matches_term_by_term_sums():
                 assert all(type(v) is int for v in cert)
 
 
+@pytest.mark.parametrize("moduli", [[3, 3, 3], [36]])
+def test_certificate_reduces_three_vectors_from_2c_plus_a_exponents(monkeypatch, moduli):
+    """Each certificate(g, x, alpha) reduces exactly three count vectors and
+    reads 2|C| + |A| character exponents, C the skew class and A the atom of x."""
+    from mixedcayley import cayley, cyclo, integrality
+    from mixedcayley.groups import GroupSpec
+
+    calls = {"reduce": 0, "exponent": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in (cyclo, cayley, integrality):  # every module that binds it
+        if hasattr(module, "reduce_root_counts"):
+            monkeypatch.setattr(module, "reduce_root_counts", counted("reduce", module.reduce_root_counts))
+    monkeypatch.setattr(GroupSpec, "character_exponent", counted("exponent", GroupSpec.character_exponent))
+    g = make_group(moduli)
+    for x in sorted(g.gamma3()):
+        want = {"reduce": 3, "exponent": 2 * len(eclass_of(g, x)) + len(atom_of(g, x))}
+        for alpha in g.elements:
+            calls.update(reduce=0, exponent=0)
+            certificate(g, x, alpha)
+            assert calls == want, (x, alpha)
+
+
 def test_classify_examples():
     g = make_group([3, 3])
     r = classify(g, {(0, 1), (1, 0), (2, 0)})
