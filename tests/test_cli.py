@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixedcayley import make_group, parse_group
+from mixedcayley import enumerate_hs_integral, make_group, parse_group
 import mixedcayley.cli as cli_mod
 from mixedcayley.cli import (
     SetSpecError,
@@ -456,6 +456,58 @@ def test_cli_exit_2_on_inconsistency(monkeypatch):
     code, out, _ = run_cli("classify", "--group", "4", "--set", "2")
     assert code == 2
     assert json.loads(out)["consistent"] is False
+
+
+def test_verify_subset_counterexample_records(monkeypatch):
+    """With the skew-family test broken, each of the 16 HS-integral sets of
+    Z_9 is a counterexample, reported in mask order with every route flag."""
+    import mixedcayley.integrality as integrality
+
+    monkeypatch.setattr(integrality, "in_skew_family", lambda group, members: None)
+    code, out, _ = run_cli("verify", "--group", "9")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["hs_integral_count"] == 16
+    records = payload["counterexamples"]
+    assert len(records) == 16
+    assert records[0] == {
+        "kind": "subset",
+        "set": [],
+        "hs_characterization": False,
+        "hs_spectral": True,
+        "eisenstein_spectral": True,
+        "sym_part_integral": True,
+        "skew_part_hs_integral": True,
+    }
+    for record in records:
+        assert list(record) == [
+            "kind", "set", "hs_characterization", "hs_spectral",
+            "eisenstein_spectral", "sym_part_integral", "skew_part_hs_integral",
+        ]
+        assert list(record.values())[2:] == [False, True, True, True, True]
+    # bit i of a mask is the element i + 1 of Z_9
+    masks = [sum(1 << (x - 1) for [x] in record["set"]) for record in records]
+    assert masks == sorted(masks)
+    hs_sets = {frozenset(cs.members) for cs in enumerate_hs_integral(make_group([9])).sets}
+    assert {frozenset(tuple(x) for x in record["set"]) for record in records} == hs_sets
+
+
+def test_verify_certificate_counterexample_record(monkeypatch):
+    import mixedcayley.integrality as integrality
+
+    real_certificate = integrality.certificate
+
+    def broken_certificate(group, x, alpha):
+        if (x, alpha) == ((1,), (2,)):
+            raise integrality.ConsistencyError("planted failure")
+        return real_certificate(group, x, alpha)
+
+    monkeypatch.setattr(integrality, "certificate", broken_certificate)
+    code, out, _ = run_cli("verify", "--group", "9")
+    assert code == 2
+    assert json.loads(out)["counterexamples"] == [
+        {"kind": "certificate", "x": [1], "alpha": [2], "error": "planted failure"}
+    ]
 
 
 def test_verify_jobs_clamped_to_cpu_count(monkeypatch):
