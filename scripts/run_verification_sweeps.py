@@ -23,14 +23,13 @@ def main() -> int:
     parser.add_argument("groups", nargs="*", default=DEFAULT_GROUPS)
     parser.add_argument("--budget", type=int, default=None, help="sample size cap")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     failed = False
     for spec in args.groups:
         group = parse_group(spec)
         start = time.perf_counter()
-        report = verify_theorems(group, budget=args.budget, seed=args.seed, jobs=args.jobs)
+        report = verify_theorems(group, budget=args.budget, seed=args.seed)
         payload = verification_to_json(report)
         payload["enumerated_total"] = enumerate_hs_integral(group).total
         payload["seconds"] = round(time.perf_counter() - start, 3)

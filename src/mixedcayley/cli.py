@@ -317,7 +317,7 @@ def _run_enumerate(args, stdout: IO[str]) -> int:
 
 def _run_verify(args, stdout: IO[str]) -> int:
     group = parse_group(args.group)
-    report = verify_theorems(group, budget=args.budget, seed=args.seed, jobs=args.jobs)
+    report = verify_theorems(group, budget=args.budget, seed=args.seed)
     _emit_json(verification_to_json(report), args.out, stdout)
     return 0 if not report.counterexamples else 2
 
@@ -361,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, with_set=False)
     p.add_argument("--budget", type=int, default=4096, help="max subsets to test")
     p.add_argument("--seed", type=int, default=0, help="sampling seed when not exhaustive")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep, at most the CPU count")
 
     return parser
 

@@ -10,9 +10,8 @@ theorem and is surfaced loudly, never papered over.
 
 from __future__ import annotations
 
-import os
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice, product
 from math import prod
 from typing import Iterator, NamedTuple, Sequence
@@ -32,7 +31,7 @@ from .cayley import (
     make_connection_set,
 )
 from .cyclo import CycloNum, _reduction_plan, as_eisenstein, as_integer, reduce_root_counts
-from .groups import Element, GroupSpec, make_group
+from .groups import Element, GroupSpec
 
 
 class ConsistencyError(RuntimeError):
@@ -148,17 +147,20 @@ class ClassificationReport:
 
 @dataclass(frozen=True)
 class _SubsetFlags:
-    hs_char: bool
+    """The route verdicts of one set, named and ordered as in a verify
+    counterexample record."""
+
+    hs_characterization: bool
     hs_spectral: bool
-    eisenstein: bool
-    sym_integral: bool
-    skew_hs_integral: bool
+    eisenstein_spectral: bool
+    sym_part_integral: bool
+    skew_part_hs_integral: bool
 
     def consistent(self) -> bool:
-        return self.hs_char == self.hs_spectral == self.eisenstein
+        return self.hs_characterization == self.hs_spectral == self.eisenstein_spectral
 
     def split_consistent(self) -> bool:
-        return self.hs_spectral == (self.sym_integral and self.skew_hs_integral)
+        return self.hs_spectral == (self.sym_part_integral and self.skew_part_hs_integral)
 
 
 def _subset_flags(
@@ -189,11 +191,11 @@ def _subset_flags(
     sym_ok = in_boolean_algebra(g, cs.sym_part) is not None
     skew_ok = in_skew_family(g, cs.skew_part) is not None
     flags = _SubsetFlags(
-        hs_char=sym_ok and skew_ok,
+        hs_characterization=sym_ok and skew_ok,
         hs_spectral=hs_spectral,
-        eisenstein=all(as_eisenstein(v) is not None for v in adjacency.values()),
-        sym_integral=sym_integral,
-        skew_hs_integral=skew_hs_integral,
+        eisenstein_spectral=all(as_eisenstein(v) is not None for v in adjacency.values()),
+        sym_part_integral=sym_integral,
+        skew_part_hs_integral=skew_hs_integral,
     )
     return flags, hs, adjacency
 
@@ -212,9 +214,9 @@ def classify(group: GroupSpec, members) -> ClassificationReport:
         connection_set=cs,
         sym_decomposition=in_boolean_algebra(group, cs.sym_part),
         skew_decomposition=in_skew_family(group, cs.skew_part),
-        hs_verdict_characterization=flags.hs_char,
+        hs_verdict_characterization=flags.hs_characterization,
         hs_verdict_spectral=flags.hs_spectral,
-        eisenstein_verdict_spectral=flags.eisenstein,
+        eisenstein_verdict_spectral=flags.eisenstein_spectral,
         hs_spectrum=hs,
         a_spectrum=adjacency,
         consistency=flags.consistent(),
@@ -284,11 +286,8 @@ class VerificationReport:
     budget: int | None
 
 
-def _check_masks(
-    moduli: tuple[int, ...], masks: Sequence[int]
-) -> tuple[int, list[dict]]:
-    """Worker: classify each masked subset, return HS count and failures."""
-    group = make_group(moduli)
+def _check_masks(group: GroupSpec, masks: Sequence[int]) -> tuple[int, list[dict]]:
+    """Classify each masked subset, return HS count and failures."""
     nonzero = tuple(x for x in group.elements if x != group.zero)
     hs_count = 0
     bad: list[dict] = []
@@ -298,17 +297,7 @@ def _check_masks(
         if flags.hs_spectral:
             hs_count += 1
         if not (flags.consistent() and flags.split_consistent()):
-            bad.append(
-                {
-                    "kind": "subset",
-                    "set": [list(x) for x in sorted(members)],
-                    "hs_characterization": flags.hs_char,
-                    "hs_spectral": flags.hs_spectral,
-                    "eisenstein_spectral": flags.eisenstein,
-                    "sym_part_integral": flags.sym_integral,
-                    "skew_part_hs_integral": flags.skew_hs_integral,
-                }
-            )
+            bad.append({"kind": "subset", "set": [list(x) for x in sorted(members)], **asdict(flags)})
     return hs_count, bad
 
 
@@ -329,7 +318,6 @@ def verify_theorems(
     group: GroupSpec,
     budget: int | None = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Sweep connection sets and check that all integrality routes agree.
 
@@ -339,13 +327,10 @@ def verify_theorems(
     checked once per group.  Exhaustive when 2^(n-1) fits in the budget,
     otherwise a seeded uniform sample of ``budget`` subsets.  A verify
     whose estimated cost passes ``_WORK_CAP`` reduction terms is refused
-    with ValueError before it starts.  ``jobs`` worker processes share the
-    sweep, at most ``os.cpu_count()`` of them.
+    with ValueError before it starts.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"verification budget must be >= 1, got {budget}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     n = group.order
     total = 1 << (n - 1)
     exhaustive = budget is None or total <= budget
@@ -367,24 +352,7 @@ def verify_theorems(
             drawn[rng.getrandbits(n - 1)] = None
         masks = list(drawn)
 
-    # the pool starts all its workers at once, so never ask for more than the CPUs
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1 and len(masks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = (len(masks) + jobs - 1) // jobs
-        chunks = [masks[i : i + chunk] for i in range(0, len(masks), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_check_masks, [group.moduli] * len(chunks), chunks)
-            )
-    else:
-        results = [_check_masks(group.moduli, masks)]
-
-    hs_count = sum(r[0] for r in results)
-    counterexamples: list[dict] = []
-    for _, bad in results:
-        counterexamples.extend(bad)
+    hs_count, counterexamples = _check_masks(group, masks)
     counterexamples.extend(_certificate_counterexamples(group))
     return VerificationReport(
         group=group,

@@ -346,15 +346,6 @@ def test_verify_sampled_is_deterministic():
     assert not c.counterexamples
 
 
-def test_verify_parallel_matches_serial():
-    g = make_group([12])
-    serial = verify_theorems(g, budget=64, seed=3, jobs=1)
-    parallel = verify_theorems(g, budget=64, seed=3, jobs=2)
-    assert serial.hs_integral_count == parallel.hs_integral_count
-    assert serial.subsets_tested == parallel.subsets_tested
-    assert serial.counterexamples == parallel.counterexamples
-
-
 def test_exhaustive_sweep_holds_no_list_of_masks(monkeypatch):
     """With the per-subset and certificate checks stubbed, an exhaustive
     sweep of Z_15 (16384 subsets) allocates almost nothing: its masks come
@@ -364,7 +355,7 @@ def test_exhaustive_sweep_holds_no_list_of_masks(monkeypatch):
     import mixedcayley.integrality as integrality
 
     swept = []
-    monkeypatch.setattr(integrality, "_check_masks", lambda moduli, masks: swept.append(len(masks)) or (0, []))
+    monkeypatch.setattr(integrality, "_check_masks", lambda group, masks: swept.append(len(masks)) or (0, []))
     monkeypatch.setattr(integrality, "_certificate_counterexamples", lambda group: [])
     g = make_group([15])
     verify_theorems(g, budget=2**14)  # warm the per-group caches first
