@@ -352,12 +352,13 @@ def test_cli_verify_says_whether_it_sampled(argv, exhaustive, budget, tested):
     assert payload["subsets_tested"] == tested
 
 
+# the ids keep each case's name from when the two deleted --jobs cases were argv2 and argv3
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify", "--group", "9", "--budget", "0"),
-        ("verify", "--group", "9", "--budget", "-1"),
-        ("enumerate", "--group", "9", "--budget", "-1"),
+        pytest.param(("verify", "--group", "9", "--budget", "0"), id="argv0"),
+        pytest.param(("verify", "--group", "9", "--budget", "-1"), id="argv1"),
+        pytest.param(("enumerate", "--group", "9", "--budget", "-1"), id="argv4"),
     ],
 )
 def test_cli_rejects_vacuous_and_invalid_inputs(argv):
