@@ -10,6 +10,7 @@ the kind whose weighted character sums stay integral.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -76,45 +77,40 @@ def atom_splits(group: GroupSpec) -> tuple[Split, ...]:
 
 
 # The index finds an element by equality, so it also finds (1.0,), which equals
-# and hashes like (1,).  Lookups below check membership only when the index
-# misses, and on a hit only that every coordinate is an int.
+# and hashes like (1,).  So every lookup below reads its members through
+# _int_members, after which no lookup in the atom index can miss.
 
 
 def _int_members(group: GroupSpec, members) -> frozenset[Element]:
-    """The members as a frozenset; ValueError names a member with a coordinate
-    that is no int, unless ``group.require_element`` accepts it (a bool or
-    numpy integer)."""
-    members = frozenset(members)
-    if not {*map(type, chain.from_iterable(members))} <= {int}:
-        for x in members:
-            group.require_element(x)
-    return members
+    """The members as a frozenset, or ValueError naming one that is not a
+    reduced element, an unhashable one included.  Unless every coordinate is
+    an int and every member a key of the atom index, each member is checked
+    with ``group.require_element``, which accepts a bool or numpy integer."""
+    if isinstance(members, Iterator):  # the slow path below reads the members again
+        members = tuple(members)
+    try:
+        found = frozenset(members)
+        if {*map(type, chain.from_iterable(found))} <= {int} and _class_index(group).atom.keys() >= found:
+            return found
+    except TypeError:  # an unhashable member, or one that is no sequence
+        pass
+    for x in members:
+        group.require_element(x)
+    return frozenset(members)
 
 
 def atom_of(group: GroupSpec, x: Element) -> frozenset[Element]:
-    """Generators of <x>: the multiples k*x with k a unit mod ord(x).
-
-    ``x`` must be a reduced element of the group.
-    """
-    try:
-        atom = _class_index(group).atom[x]
-    except KeyError:
-        group.require_element(x)
-        raise
+    """Generators of <x>: the multiples k*x with k a unit mod ord(x), for a reduced element x."""
     _int_members(group, (x,))
-    return atom
+    return _class_index(group).atom[x]
 
 
 def eclass_of(group: GroupSpec, x: Element) -> frozenset[Element]:
-    """The skew class {k*x : gcd(k, ord(x)) = 1, k = 1 mod 3}.
-
-    ``x`` must be a reduced element of the group.
-    """
+    """The skew class {k*x : gcd(k, ord(x)) = 1, k = 1 mod 3} of a reduced element x."""
+    _int_members(group, (x,))
     cls = _class_index(group).eclass.get(x)
     if cls is None:
-        group.require_element(x)
         raise ValueError(f"element {x} has order {group.order_of(x)}, not divisible by 3")
-    _int_members(group, (x,))
     return cls
 
 
@@ -130,13 +126,9 @@ class AtomDecomposition:
     classes: tuple[frozenset[Element], ...]
 
 
-def _decompose(group: GroupSpec, members: frozenset[Element], class_of) -> AtomDecomposition | None:
+def _decompose(members: frozenset[Element], class_of) -> AtomDecomposition | None:
     """The distinct classes of the members, or None if one is not a subset."""
-    try:
-        classes = {class_of[x] for x in members}
-    except KeyError as exc:
-        group.require_element(exc.args[0])
-        raise
+    classes = {class_of[x] for x in members}
     if not all(cls <= members for cls in classes):
         return None
     ordered = sorted(classes, key=min)
@@ -145,7 +137,7 @@ def _decompose(group: GroupSpec, members: frozenset[Element], class_of) -> AtomD
 
 def in_boolean_algebra(group: GroupSpec, members) -> AtomDecomposition | None:
     """Decompose a set into whole atoms, or None if some atom is cut."""
-    return _decompose(group, _int_members(group, members), _class_index(group).atom)
+    return _decompose(_int_members(group, members), _class_index(group).atom)
 
 
 def in_skew_family(group: GroupSpec, members) -> AtomDecomposition | None:
@@ -157,10 +149,6 @@ def in_skew_family(group: GroupSpec, members) -> AtomDecomposition | None:
     """
     members = _int_members(group, members)
     eclasses = _class_index(group).eclass
-    for x in members:
-        if x not in eclasses:
-            group.require_element(x)
-            return None
-        if group.neg(x) in members:
-            return None
-    return _decompose(group, members, eclasses)
+    if any(x not in eclasses or group.neg(x) in members for x in members):
+        return None
+    return _decompose(members, eclasses)

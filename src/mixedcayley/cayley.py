@@ -181,12 +181,13 @@ def to_dot(cs: ConnectionSet) -> str:
     lines = ["digraph cayley {"]
     for x in g.elements:
         lines.append(f'  "{element_label(x)}";')
+    sym, skew = sorted(cs.sym_part), sorted(cs.skew_part)
     for u in g.elements:
-        for s in sorted(cs.sym_part):
+        for s in sym:
             v = g.add(u, s)
             if u < v:
                 lines.append(f'  "{element_label(u)}" -> "{element_label(v)}" [dir=none];')
-        for s in sorted(cs.skew_part):
+        for s in skew:
             v = g.add(u, s)
             lines.append(f'  "{element_label(u)}" -> "{element_label(v)}";')
     lines.append("}")

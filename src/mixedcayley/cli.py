@@ -26,7 +26,6 @@ from .cyclo import CycloNum
 from .groups import Element, GroupSpec, parse_group
 from .integrality import (
     ClassificationReport,
-    ConsistencyError,
     VerificationReport,
     _require_work,
     classify,
@@ -389,9 +388,6 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
     except ValueError as exc:
         stderr.write(f"error: {exc}\n")
         return 1
-    except ConsistencyError as exc:
-        stderr.write(f"consistency violation: {exc}\n")
-        return 2
 
 
 def main() -> None:

@@ -80,19 +80,17 @@ class GroupSpec:
             )
         return tuple(map(mod, map(index, coords), self.moduli))
 
-    def contains(self, x: Element) -> bool:
-        """True when x has one reduced int coordinate per factor; a float is foreign."""
-        if len(x) != len(self.moduli):
-            return False
-        try:
-            return all(0 <= index(c) < n for c, n in zip(x, self.moduli))
-        except TypeError:
-            return False
-
     def require_element(self, x) -> None:
-        """Raise ValueError naming x unless it is a reduced element of the group."""
-        if not self.contains(x):
-            raise self._foreign(x)
+        """Raise ValueError naming x unless it is a reduced element of the group:
+        hashable, with one reduced int coordinate per factor.  A float
+        coordinate or a list is foreign."""
+        try:
+            hash(x)
+            if len(x) == len(self.moduli) and all(0 <= index(c) < n for c, n in zip(x, self.moduli)):
+                return
+        except TypeError:  # unhashable, no sequence, or a coordinate that is no integer
+            pass
+        raise self._foreign(x)
 
     def _foreign(self, x) -> ValueError:
         return ValueError(f"{x} is not a reduced element of group {self.spec_string()}")

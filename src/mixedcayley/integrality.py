@@ -157,10 +157,9 @@ class _SubsetFlags:
     skew_part_hs_integral: bool
 
     def consistent(self) -> bool:
-        return self.hs_characterization == self.hs_spectral == self.eisenstein_spectral
-
-    def split_consistent(self) -> bool:
-        return self.hs_spectral == (self.sym_part_integral and self.skew_part_hs_integral)
+        """The three routes agree, and the HS verdict is that of the two parts."""
+        hs_of_parts = self.sym_part_integral and self.skew_part_hs_integral
+        return self.hs_characterization == self.hs_spectral == self.eisenstein_spectral == hs_of_parts
 
 
 def _subset_flags(
@@ -202,7 +201,10 @@ def _subset_flags(
 
 def classify(group: GroupSpec, members) -> ClassificationReport:
     """Run all three integrality routes on one connection set, or raise
-    ValueError before any of them when its cost would pass ``_WORK_CAP``."""
+    ValueError before any of them when its cost would pass ``_WORK_CAP``.
+
+    ``consistency`` is the predicate ``verify`` records a set by, so a set
+    is inconsistent here exactly when a sweep would report it."""
     cs = make_connection_set(group, members)
     # three spectra of n eigenvalues: the simple part counts each symmetric
     # member once, the skew part each skew member twice, adjacency each member once
@@ -296,7 +298,7 @@ def _check_masks(group: GroupSpec, masks: Sequence[int]) -> tuple[int, list[dict
         flags, _, _ = _subset_flags(make_connection_set(group, members))
         if flags.hs_spectral:
             hs_count += 1
-        if not (flags.consistent() and flags.split_consistent()):
+        if not flags.consistent():
             bad.append({"kind": "subset", "set": [list(x) for x in sorted(members)], **asdict(flags)})
     return hs_count, bad
 

@@ -137,6 +137,31 @@ def test_foreign_element_raises_value_error_naming_it(x):
             lookup()
 
 
+def test_unhashable_element_is_foreign_everywhere():
+    """A list holds the right coordinates but is no element: every lookup
+    names it in a ValueError, not an unhashable-type TypeError."""
+    g = make_group([9])
+    cs = make_connection_set(g, {(1,), (3,)})
+    lookups = [
+        (lambda: g.require_element([1]), [1]),
+        (lambda: g.character_exponent([1], (1,)), [1]),
+        (lambda: atom_of(g, [1]), [1]),
+        (lambda: eclass_of(g, [1]), [1]),
+        (lambda: in_boolean_algebra(g, [[1]]), [1]),
+        (lambda: in_boolean_algebra(g, [(1,), (8,), [3]]), [3]),
+        (lambda: in_skew_family(g, [[1]]), [1]),
+        (lambda: in_skew_family(g, iter([(3,), [1]])), [1]),
+        (lambda: certificate(g, [1], (1,)), [1]),
+        (lambda: hs_eigenvalue(cs, [1]), [1]),
+        (lambda: in_boolean_algebra(make_group([3, 3]), [(1, 0), (1, [2])]), (1, [2])),
+    ]
+    for lookup, bad in lookups:
+        group = "3x3" if len(bad) == 2 else "9"
+        with pytest.raises(ValueError) as exc:
+            lookup()
+        assert str(exc.value) == f"{bad} is not a reduced element of group {group}"
+
+
 def test_atoms_partition_group():
     for mods in ([12], [9], [2, 6], [3, 3], [2, 2, 2]):
         g = make_group(mods)

@@ -491,6 +491,41 @@ def test_verify_subset_counterexample_records(monkeypatch):
     assert {frozenset(tuple(x) for x in record["set"]) for record in records} == hs_sets
 
 
+def test_classify_fails_on_every_set_verify_records(monkeypatch):
+    """A split fault: simple-part values gain w3 and skew-part values lose it,
+    so every HS value is kept and only the check that the HS verdict is that
+    of the two parts sees the fault.  classify and verify judge a set by the
+    same predicate, so the set {3, 6} fails both."""
+    import mixedcayley.integrality as integrality
+
+    real_spectrum = integrality.exact_spectrum
+    shifts = {"simple_part": 1, "skew_part": -1}
+
+    def split_fault(cs, kind):
+        spectrum = real_spectrum(cs, kind)
+        n = cs.group.root_order
+        shift = shifts.get(kind, 0) * root(n, n // 3)
+        return {alpha: value + shift for alpha, value in spectrum.items()}
+
+    monkeypatch.setattr(integrality, "exact_spectrum", split_fault)
+    code, out, _ = run_cli("classify", "--group", "9", "--set", "3,6")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["hs_integral"] is True and payload["consistent"] is False
+    code, out, _ = run_cli("classify", "--group", "9", "--set", "3,6", "--format", "text")
+    assert code == 2 and "  consistent: False\n" in out
+    code, out, _ = run_cli("verify", "--group", "9")
+    assert code == 2
+    records = json.loads(out)["counterexamples"]
+    assert {"kind": "subset", "set": [[3], [6]], "hs_characterization": True, "hs_spectral": True,
+            "eisenstein_spectral": True, "sym_part_integral": False,
+            "skew_part_hs_integral": False} in records
+    # every set verify records is one classify fails on
+    for record in records:
+        spec = ",".join(str(x) for [x] in record["set"])
+        assert run_cli("classify", "--group", "9", "--set", spec)[0] == 2, spec
+
+
 def test_verify_certificate_counterexample_record(monkeypatch):
     import mixedcayley.integrality as integrality
 
@@ -558,6 +593,31 @@ GOLDEN_STDOUT = [
     "argv, digest", GOLDEN_STDOUT, ids=[" ".join(a[:3]) for a, _ in GOLDEN_STDOUT]
 )
 def test_cli_stdout_matches_golden_digest(argv, digest):
+    code, out, err = run_cli(*argv)
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of classify's DOT and text output, which no JSON digest covers
+GOLDEN_DOT_AND_TEXT = [
+    (("classify", "--group", "3x3", "--set", "(0,1),(1,0),(2,0)", "--format", "dot"),
+     "ad117ead76f6b2956f62173e19806dbe24bec99a20bea9791919b3a46e5417aa"),
+    (("classify", "--group", "9", "--set", "1,3,8", "--format", "dot"),
+     "948c8bbc2193c3a0861e4a77f9bf96378baaf5c068b273bd363a319e5d81d2bc"),
+    # members given out of order, both parts with more than one member
+    (("classify", "--group", "64", "--set", "63,20,9,5,1", "--format", "dot"),
+     "e2aebb4a2240d60b732a5862a1baea66b76aebba2d1aa08806b8126210dd5e5b"),
+    (("classify", "--group", "3x3", "--set", "(0,1),(1,0),(2,0)", "--format", "text"),
+     "502aa6b1e798f4413816f317b17c3358b9a3f35c3464a5b197c3e5f724a2b392"),
+    (("classify", "--group", "36", "--set", "6,10,16,26,27,29", "--format", "text"),
+     "0d2e76616e81c3a99799de676c21e2935b33ab06ffbd561087af28c22d19863b"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_DOT_AND_TEXT, ids=[f"{a[2]} {a[-1]}" for a, _ in GOLDEN_DOT_AND_TEXT]
+)
+def test_classify_dot_and_text_match_golden_digest(argv, digest):
     code, out, err = run_cli(*argv)
     assert code == 0 and not err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -178,6 +178,22 @@ def test_as_integer_examples():
     assert as_integer(z) == -4
 
 
+def test_public_input_guards():
+    guarded = [
+        (lambda: totient(0), "totient needs a positive integer, got 0"),
+        (lambda: cyclotomic_poly(0), "cyclotomic index must be >= 1, got 0"),
+        (lambda: CycloNum(0, ()), "cyclotomic order must be >= 1, got 0"),
+        (lambda: root(6, 1).lift(9), "cannot lift order 6 to 9"),
+    ]
+    for call, message in guarded:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    # equality with a value of no ring type is not an error, just False
+    assert (root(6, 1) == "a") is False
+    assert root(6, 1) != "a"
+
+
 def test_constructor_refuses_non_integer_coefficients():
     """A value lives in Z[w_N]: every coefficient is read as an int, so no
     float or Fraction can reach a verdict."""

@@ -163,6 +163,38 @@ def test_certificate_reduces_three_vectors_from_2c_plus_a_exponents(monkeypatch,
             assert calls == want, (x, alpha)
 
 
+# Offsets added to the sums of certificate(Z_9, (3,), (1,)), which are
+# (hs, atom, imbalance) = (-2, -1, -3), each breaking one checked fact.
+CERTIFICATE_FAULTS = {
+    "non-integral": (
+        {"hs": root(18, 1)},
+        "certificate sums not all integral for x=(3,), alpha=(1,): hs=CycloNum(order=18, -2 + 1*w^1) "
+        "atom=CycloNum(order=18, -1) imbalance=CycloNum(order=18, -3)",
+    ),
+    "identity": ({"atom": 1}, "certificate identity 2Z = C + T failed for x=(3,), alpha=(1,)"),
+    "divisibility": ({"atom": -2, "imbalance": 2}, "imbalance -1 not divisible by 3 for x=(3,), alpha=(1,)"),
+}
+
+
+@pytest.mark.parametrize("fault", CERTIFICATE_FAULTS)
+def test_certificate_raises_on_each_planted_fault(monkeypatch, fault):
+    from mixedcayley import integrality
+
+    g = make_group([9])
+    assert certificate(g, (3,), (1,)) == (-2, -1, -3)
+    offsets, message = CERTIFICATE_FAULTS[fault]
+    real_reduce, real_atom_sum = integrality.reduce_root_counts, integrality.atom_character_sum
+    # certificate reduces the HS sum first and the imbalance second
+    reduced = iter([offsets.get("hs", 0), offsets.get("imbalance", 0)])
+    monkeypatch.setattr(integrality, "reduce_root_counts", lambda n, counts: real_reduce(n, counts) + next(reduced))
+    monkeypatch.setattr(
+        integrality, "atom_character_sum", lambda *args: real_atom_sum(*args) + offsets.get("atom", 0)
+    )
+    with pytest.raises(integrality.ConsistencyError) as exc:
+        certificate(g, (3,), (1,))
+    assert str(exc.value) == message
+
+
 def test_classify_examples():
     g = make_group([3, 3])
     r = classify(g, {(0, 1), (1, 0), (2, 0)})
