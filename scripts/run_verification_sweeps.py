@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Exhaustive verification sweeps over a configurable list of groups.
 
-Prints one JSON line per group and exits nonzero if any sweep finds a
-counterexample to the integrality equivalences.
+Prints one JSON line per group and exits 2 if any sweep finds a
+counterexample to the integrality equivalences, or if an exhaustive
+sweep's ``hs_integral_count`` differs from ``enumerated_total``, the
+number of sets the constructive enumeration gives.
 """
 
 from __future__ import annotations
@@ -34,7 +36,11 @@ def main() -> int:
         payload["enumerated_total"] = enumerate_hs_integral(group).total
         payload["seconds"] = round(time.perf_counter() - start, 3)
         print(json.dumps(payload))
-        if report.counterexamples:
+        miscounted = report.exhaustive and report.hs_integral_count != payload["enumerated_total"]
+        if miscounted:
+            print(f"{spec}: the sweep found {report.hs_integral_count} HS-integral sets, "
+                  f"the enumeration {payload['enumerated_total']}", file=sys.stderr)
+        if report.counterexamples or miscounted:
             failed = True
     return 2 if failed else 0
 

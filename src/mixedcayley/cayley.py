@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .cyclo import CycloNum, reduce_root_counts
 from .groups import Element, GroupSpec
@@ -175,20 +175,20 @@ def element_label(x: Element) -> str:
     return "(" + ",".join(str(c) for c in x) + ")"
 
 
-def to_dot(cs: ConnectionSet) -> str:
-    """DOT export: undirected edges for the symmetric part, arcs for the skew."""
+def to_dot(cs: ConnectionSet) -> Iterator[str]:
+    """DOT export, one line at a time, each ending in a newline: undirected
+    edges for the symmetric part, arcs for the skew."""
     g = cs.group
-    lines = ["digraph cayley {"]
+    label = {x: element_label(x) for x in g.elements}
+    yield "digraph cayley {\n"
     for x in g.elements:
-        lines.append(f'  "{element_label(x)}";')
+        yield f'  "{label[x]}";\n'
     sym, skew = sorted(cs.sym_part), sorted(cs.skew_part)
     for u in g.elements:
         for s in sym:
             v = g.add(u, s)
             if u < v:
-                lines.append(f'  "{element_label(u)}" -> "{element_label(v)}" [dir=none];')
+                yield f'  "{label[u]}" -> "{label[v]}" [dir=none];\n'
         for s in skew:
-            v = g.add(u, s)
-            lines.append(f'  "{element_label(u)}" -> "{element_label(v)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f'  "{label[u]}" -> "{label[g.add(u, s)]}";\n'
+    yield "}\n"

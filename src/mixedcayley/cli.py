@@ -14,8 +14,8 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterator
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from collections.abc import Iterable, Iterator
+from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from itertools import compress
 from typing import IO
@@ -26,6 +26,7 @@ from .cyclo import CycloNum
 from .groups import Element, GroupSpec, parse_group
 from .integrality import (
     ClassificationReport,
+    EnumerationStream,
     VerificationReport,
     _require_work,
     classify,
@@ -183,44 +184,41 @@ def verification_to_json(report: VerificationReport) -> dict:
     }
 
 
-@contextmanager
-def _opened(out_path: str | None, stream: IO[str]):
-    """The ``--out`` file opened for writing, or ``stream`` without one."""
-    if out_path is None:
-        yield stream
-        return
+def _write(chunks: Iterable[str], out_path: str | None, stream: IO[str]) -> None:
+    """Write each chunk with one ``write`` call, to the ``--out`` file or,
+    without one, to ``stream``.  The file is opened only now, after the
+    handler has computed its report."""
+    if out_path is not None:
+        try:
+            stream = open(out_path, "w", encoding="utf-8")
+        except OSError as exc:  # an unwritable path is bad input, not a crash
+            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     try:
-        fh = open(out_path, "w", encoding="utf-8")
-    except OSError as exc:  # an unwritable path is bad input, not a crash
-        raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
-    with fh:
-        yield fh
+        for chunk in chunks:
+            stream.write(chunk)
+    finally:
+        if out_path is not None:
+            stream.close()
 
 
-def _emit(text: str, out_path: str | None, stream: IO[str]) -> None:
-    with _opened(out_path, stream) as fh:
-        fh.write(text)
-
-
-def _emit_json(doc: dict[str, object], out_path: str | None, stream: IO[str]) -> None:
-    """Write ``doc`` as ``json.dumps(doc, indent=2)`` and a newline.  A value
-    that is an iterator of ``(alpha, value)`` pairs is a spectrum, written one
-    entry at a time as it is made."""
-    with _opened(out_path, stream) as fh:
-        sep = "{"
-        for key, value in doc.items():
-            fh.write(f"{sep}\n  {json.dumps(key)}: ")
-            if isinstance(value, Iterator):
-                entry_sep = "["
-                for alpha, z in value:
-                    fh.write(entry_sep + "\n    " + _entry_text(alpha, z, "\n    "))
-                    entry_sep = ","
-                fh.write("[]" if entry_sep == "[" else "\n  ]")
-            else:
-                # JSON escapes every newline inside a string, so this only indents
-                fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
-            sep = ","
-        fh.write("{}\n" if sep == "{" else "\n}\n")
+def _emit_json(doc: dict[str, object]) -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=2)`` and a newline, in chunks.  A
+    value that is an iterator of ``(alpha, value)`` pairs is a spectrum: each
+    entry is drawn, rendered and yielded as one chunk before the next."""
+    sep = "{"
+    for key, value in doc.items():
+        yield f"{sep}\n  {json.dumps(key)}: "
+        if isinstance(value, Iterator):
+            entry_sep = "["
+            for alpha, z in value:
+                yield entry_sep + "\n    " + _entry_text(alpha, z, "\n    ")
+                entry_sep = ","
+            yield "[]" if entry_sep == "[" else "\n  ]"
+        else:
+            # JSON escapes every newline inside a string, so this only indents
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+        sep = ","
+    yield "{}\n" if sep == "{" else "\n}\n"
 
 
 def _classification_text(report: ClassificationReport) -> str:
@@ -237,53 +235,53 @@ def _classification_text(report: ClassificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_classify(args, stdout: IO[str]) -> int:
+# Each handler computes its report and returns (exit code, output chunks);
+# ``run`` writes the chunks.  Spectrum entries, DOT lines and enumerated
+# sets are rendered one chunk at a time as they are written.
+Output = tuple[int, Iterable[str]]
+
+
+def _run_classify(args) -> Output:
     group = parse_group(args.group)
     members = parse_set(args.set or "", group, reduce_coords=not args.no_reduce)
     report = classify(group, members)
+    code = 0 if report.consistency else 2
     if args.format == "dot":
-        _emit(to_dot(report.connection_set), args.out, stdout)
-    elif args.format == "text":
-        _emit(_classification_text(report), args.out, stdout)
-    else:
-        _emit_json(classification_to_json(report), args.out, stdout)
-    return 0 if report.consistency else 2
+        return code, to_dot(report.connection_set)
+    if args.format == "text":
+        return code, [_classification_text(report)]
+    return code, _emit_json(classification_to_json(report))
 
 
-def _run_spectrum(args, stdout: IO[str]) -> int:
+def _run_spectrum(args) -> Output:
     group = parse_group(args.group)
     members = parse_set(args.set or "", group, reduce_coords=not args.no_reduce)
     cs = make_connection_set(group, members)
     _require_work(group, group.order * len(_terms(cs, args.kind)), "spectrum", "set")
     spectrum = exact_spectrum(cs, args.kind)
     if args.format == "text":
-        with _opened(args.out, stdout) as fh:
-            for alpha, value in spectrum.items():
-                fh.write(f"{format_element(alpha, group)}  {_approx_text(value)}\n")
-    else:
-        payload = {
-            "group": group.spec_string(),
-            "set": format_set(members, group),
-            "kind": args.kind,
-            "entries": iter(spectrum.items()),
-        }
-        _emit_json(payload, args.out, stdout)
-    return 0
+        return 0, (f"{format_element(a, group)}  {_approx_text(z)}\n" for a, z in spectrum.items())
+    payload = {
+        "group": group.spec_string(),
+        "set": format_set(members, group),
+        "kind": args.kind,
+        "entries": iter(spectrum.items()),
+    }
+    return 0, _emit_json(payload)
 
 
-def _run_atoms(args, stdout: IO[str]) -> int:
+def _atoms_text(group: GroupSpec, splits) -> Iterator[str]:
+    for atom, classes in splits:
+        yield f"atom [{format_element(min(atom), group)}] = {{{format_set(atom, group)}}}\n"
+        for c in classes:
+            yield f"  skew class <<{format_element(min(c), group)}>> = {{{format_set(c, group)}}}\n"
+
+
+def _run_atoms(args) -> Output:
     group = parse_group(args.group)
     splits = atom_splits(group)
     if args.format == "text":
-        lines = []
-        for atom, classes in splits:
-            lines.append(f"atom [{format_element(min(atom), group)}] = {{{format_set(atom, group)}}}")
-            lines += [
-                f"  skew class <<{format_element(min(c), group)}>> = {{{format_set(c, group)}}}"
-                for c in classes
-            ]
-        _emit("\n".join(lines) + "\n", args.out, stdout)
-        return 0
+        return 0, _atoms_text(group, splits)
     listing = []
     for atom, classes in splits:
         rep = min(atom)
@@ -291,34 +289,34 @@ def _run_atoms(args, stdout: IO[str]) -> int:
         if classes:
             entry["skew_classes"] = [_class_json(min(c), c) for c in classes]
         listing.append(entry)
-    _emit_json({"group": group.spec_string(), "atoms": listing}, args.out, stdout)
-    return 0
+    return 0, _emit_json({"group": group.spec_string(), "atoms": listing})
 
 
-def _run_enumerate(args, stdout: IO[str]) -> int:
-    group = parse_group(args.group)
-    stream = enumerate_hs_integral(group, budget=args.budget)
+def _enumerate_lines(stream: EnumerationStream) -> Iterator[str]:
+    """One compact JSON line per set, then the truncation marker if any; the
+    empty set is always HS-integral, so at least one line is yielded."""
     emitted = 0
-    # the empty set is always HS-integral, so at least one line is written
-    with _opened(args.out, stdout) as fh:
-        for cs in stream.sets:
-            payload = {
-                "spec": format_set(cs.members, group),
-                "members": [list(x) for x in sorted(cs.members)],
-            }
-            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
-            emitted += 1
-        if stream.truncated:
-            marker = {"truncated": True, "emitted": emitted, "total": stream.total}
-            fh.write(json.dumps(marker, separators=(",", ":")) + "\n")
-    return 0
+    for cs in stream.sets:
+        payload = {
+            "spec": format_set(cs.members, stream.group),
+            "members": [list(x) for x in sorted(cs.members)],
+        }
+        yield json.dumps(payload, separators=(",", ":")) + "\n"
+        emitted += 1
+    if stream.truncated:
+        marker = {"truncated": True, "emitted": emitted, "total": stream.total}
+        yield json.dumps(marker, separators=(",", ":")) + "\n"
 
 
-def _run_verify(args, stdout: IO[str]) -> int:
+def _run_enumerate(args) -> Output:
+    group = parse_group(args.group)
+    return 0, _enumerate_lines(enumerate_hs_integral(group, budget=args.budget))
+
+
+def _run_verify(args) -> Output:
     group = parse_group(args.group)
     report = verify_theorems(group, budget=args.budget, seed=args.seed)
-    _emit_json(verification_to_json(report), args.out, stdout)
-    return 0 if not report.counterexamples else 2
+    return 2 if report.counterexamples else 0, _emit_json(verification_to_json(report))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,10 +382,12 @@ def run(argv=None, stdout: IO[str] | None = None, stderr: IO[str] | None = None)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args, stdout)
+        code, chunks = _HANDLERS[args.command](args)
+        _write(chunks, args.out, stdout)
     except ValueError as exc:
         stderr.write(f"error: {exc}\n")
         return 1
+    return code
 
 
 def main() -> None:

@@ -301,6 +301,8 @@ def reduce_root_counts(order: int, counts) -> CycloNum:
     with ``operator.index``, so a float is a TypeError and a bool or numpy
     integer becomes an int.
     """
+    if order < 1:
+        raise ValueError(f"cyclotomic order must be >= 1, got {order}")
     if len(counts) > order:
         raise ValueError(f"count vector has length {len(counts)}, more than {order}")
     return _reduce(order, counts)

@@ -162,6 +162,20 @@ def test_unhashable_element_is_foreign_everywhere():
         assert str(exc.value) == f"{bad} is not a reduced element of group {group}"
 
 
+def test_members_that_are_no_int_tuples_take_the_checked_path():
+    """A numpy integer or a bool coordinate is no int, so the member is read
+    through ``require_element``, which accepts it: the verdict and the
+    class are those of the equal int element."""
+    import numpy as np
+
+    g = make_group([9])
+    assert in_boolean_algebra(g, {(np.int64(3),), (6,)}) == in_boolean_algebra(g, {(3,), (6,)})
+    assert in_boolean_algebra(g, {(np.int64(3),), (6,)}) is not None
+    assert atom_of(g, (True,)) == atom_of(g, (1,))
+    dec = in_skew_family(g, {(np.int64(3),)})
+    assert dec is not None and dec.classes == (frozenset({(3,)}),)
+
+
 def test_atoms_partition_group():
     for mods in ([12], [9], [2, 6], [3, 3], [2, 2, 2]):
         g = make_group(mods)

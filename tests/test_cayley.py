@@ -245,7 +245,10 @@ def test_oracle_agrees_with_exact_spectrum():
 def test_dot_export():
     g = make_group([3, 3])
     cs = make_connection_set(g, {(0, 1), (1, 0), (2, 0)})
-    dot = to_dot(cs)
+    # to_dot yields its lines one at a time, each with its newline
+    chunks = list(to_dot(cs))
+    assert all(c.endswith("\n") and c.count("\n") == 1 for c in chunks)
+    dot = "".join(chunks)
     assert dot.startswith("digraph cayley {")
     # undirected pair (0,0)--(1,0) appears once, as an edge without direction
     assert dot.count('"(0,0)" -> "(1,0)" [dir=none];') == 1

@@ -663,7 +663,8 @@ def emitted_lazily(doc):
 
     lazy_doc = {k: lazy(v) if isinstance(v, Pairs) else v for k, v in doc.items()}
     eager = {k: [entry_json(*p) for p in v] if isinstance(v, Pairs) else v for k, v in doc.items()}
-    _emit_json(lazy_doc, None, stream)
+    for chunk in _emit_json(lazy_doc):
+        stream.write(chunk)
     return stream.writes, eager, drawn
 
 
@@ -701,11 +702,13 @@ def test_emit_json_edge_cases():
     # only a top-level iterator is a spectrum; the rest is json.dumps's to refuse
     for bad in ({"a": {1, 2}}, {"a": [iter(())]}, {"a": {"b": iter(())}}):
         with pytest.raises(TypeError):
-            _emit_json(bad, None, io.StringIO())
+            list(_emit_json(bad))
 
 
-# -- streamed output: classify and spectrum write one alpha entry at a
-# time, spectrum text one line per alpha, enumerate one line per set
+# -- streamed output: every command's output goes through one writer.
+# classify and spectrum write one alpha entry at a time, spectrum text one
+# line per alpha, classify DOT one line per vertex or edge, enumerate one
+# line per set
 
 STREAMED = [
     ("classify", "--group", "251", "--set", "8,46,146,243,245"),
@@ -715,6 +718,10 @@ STREAMED = [
     ("spectrum", "--group", "251", "--set", "8,46,146,243,245", "--format", "text"),
     ("enumerate", "--group", "2x2x2x2", "--budget", "50"),
     ("enumerate", "--group", "2x2x2x2", "--budget", "0"),
+    ("classify", "--group", "64", "--set", "63,20,9,5,1", "--format", "dot"),
+    ("classify", "--group", "36", "--set", "6,10,16,26,27,29", "--format", "text"),
+    ("atoms", "--group", "3x3x3", "--format", "text"),
+    ("verify", "--group", "9"),
 ]
 
 
@@ -760,13 +767,15 @@ LINE_STREAMED = [
     ("spectrum", "--group", "1024", "--set", "180,329,450,574,676,764,844,910",
      "--format", "text"),
     ("enumerate", "--group", "2x2x2x2", "--budget", "50"),
+    ("classify", "--group", "64", "--set", "63,20,9,5,1", "--format", "dot"),
 ]
 
 
 @pytest.mark.parametrize("argv", LINE_STREAMED, ids=[a[0] for a in LINE_STREAMED])
 def test_line_output_reaches_the_stream_in_several_writes(argv):
-    digest = dict(GOLDEN_STDOUT)[argv]
+    digest = dict(GOLDEN_STDOUT + GOLDEN_DOT_AND_TEXT)[argv]
     stream = RecordingStream()
     assert run(list(argv), stdout=stream, stderr=io.StringIO()) == 0
     assert len(stream.writes) > 1
+    assert all(w.endswith("\n") and w.count("\n") == 1 for w in stream.writes)
     assert hashlib.sha256("".join(stream.writes).encode()).hexdigest() == digest

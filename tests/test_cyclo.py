@@ -184,6 +184,10 @@ def test_public_input_guards():
         (lambda: cyclotomic_poly(0), "cyclotomic index must be >= 1, got 0"),
         (lambda: CycloNum(0, ()), "cyclotomic order must be >= 1, got 0"),
         (lambda: root(6, 1).lift(9), "cannot lift order 6 to 9"),
+        # the order is checked before the length of the counts
+        (lambda: reduce_root_counts(0, []), "cyclotomic order must be >= 1, got 0"),
+        (lambda: reduce_root_counts(-6, []), "cyclotomic order must be >= 1, got -6"),
+        (lambda: reduce_root_counts(-6, [1]), "cyclotomic order must be >= 1, got -6"),
     ]
     for call, message in guarded:
         with pytest.raises(ValueError) as exc:
