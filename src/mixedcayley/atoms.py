@@ -12,68 +12,18 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
-from math import gcd
-from typing import NamedTuple
 
-from .groups import Element, GroupSpec
+# g_units and g_units_mod3 are re-exported: they are part of this module's API
+from .groups import Element, GroupSpec, Split, g_units, g_units_mod3
 
-
-def g_units(m: int) -> frozenset[int]:
-    """Multipliers coprime to m: {k : 1 <= k <= m-1, gcd(k, m) = 1}."""
-    if m < 2:
-        raise ValueError(f"unit class needs modulus >= 2, got {m}")
-    return frozenset(k for k in range(1, m) if gcd(k, m) == 1)
-
-
-def g_units_mod3(m: int, r: int) -> frozenset[int]:
-    """Units of Z_m lying in residue class r mod 3 (requires 3 | m)."""
-    if m % 3 != 0:
-        raise ValueError(f"modulus must be divisible by 3, got {m}")
-    if r not in (1, 2):
-        raise ValueError(f"residue must be 1 or 2, got {r}")
-    return frozenset(k for k in g_units(m) if k % 3 == r)
-
-
-Split = tuple[frozenset[Element], tuple[frozenset[Element], ...]]
-
-
-class _ClassIndex(NamedTuple):
-    splits: tuple[Split, ...]
-    atom: dict[Element, frozenset[Element]]
-    eclass: dict[Element, frozenset[Element]]
-
-
-@lru_cache(maxsize=None)
-def _class_index(group: GroupSpec) -> _ClassIndex:
-    """The group's atoms with their skew classes, and the element -> class maps.
-
-    One lexicographic walk: each new x is the least member of its atom, and
-    its k = 1 (mod 3) class holds x, so atoms and skew classes both come out
-    in order of least member.  Each class is one frozenset shared by its
-    members.
-    """
-    atoms = {group.zero: frozenset({group.zero})}
-    splits: list[Split] = [(atoms[group.zero], ())]
-    eclasses: dict[Element, frozenset[Element]] = {}
-    for x in group.elements:
-        if x in atoms:
-            continue
-        m = group.order_of(x)
-        atom = frozenset(group.scale(k, x) for k in g_units(m))
-        atoms.update(dict.fromkeys(atom, atom))
-        residues = (1, 2) if m % 3 == 0 else ()
-        classes = tuple(frozenset(group.scale(k, x) for k in g_units_mod3(m, r)) for r in residues)
-        for cls in classes:
-            eclasses.update(dict.fromkeys(cls, cls))
-        splits.append((atom, classes))
-    return _ClassIndex(tuple(splits), atoms, eclasses)
+# The atoms and skew classes are the group's own index, GroupSpec._classes,
+# built in groups; each function below reads it once per call.
 
 
 def atom_splits(group: GroupSpec) -> tuple[Split, ...]:
     """Every atom with its skew classes (none, or two), in order of least member."""
-    return _class_index(group).splits
+    return group._classes.splits
 
 
 # The index finds an element by equality, so it also finds (1.0,), which equals
@@ -81,16 +31,17 @@ def atom_splits(group: GroupSpec) -> tuple[Split, ...]:
 # _int_members, after which no lookup in the atom index can miss.
 
 
-def _int_members(group: GroupSpec, members) -> frozenset[Element]:
+def _int_members(group: GroupSpec, atoms: dict, members) -> frozenset[Element]:
     """The members as a frozenset, or ValueError naming one that is not a
     reduced element, an unhashable one included.  Unless every coordinate is
-    an int and every member a key of the atom index, each member is checked
-    with ``group.require_element``, which accepts a bool or numpy integer."""
+    an int and every member a key of the group's atom map ``atoms``, each
+    member is checked with ``group.require_element``, which accepts a bool
+    or numpy integer."""
     if isinstance(members, Iterator):  # the slow path below reads the members again
         members = tuple(members)
     try:
         found = frozenset(members)
-        if {*map(type, chain.from_iterable(found))} <= {int} and _class_index(group).atom.keys() >= found:
+        if {*map(type, chain.from_iterable(found))} <= {int} and atoms.keys() >= found:
             return found
     except TypeError:  # an unhashable member, or one that is no sequence
         pass
@@ -101,14 +52,16 @@ def _int_members(group: GroupSpec, members) -> frozenset[Element]:
 
 def atom_of(group: GroupSpec, x: Element) -> frozenset[Element]:
     """Generators of <x>: the multiples k*x with k a unit mod ord(x), for a reduced element x."""
-    _int_members(group, (x,))
-    return _class_index(group).atom[x]
+    atoms = group._classes.atom
+    _int_members(group, atoms, (x,))
+    return atoms[x]
 
 
 def eclass_of(group: GroupSpec, x: Element) -> frozenset[Element]:
     """The skew class {k*x : gcd(k, ord(x)) = 1, k = 1 mod 3} of a reduced element x."""
-    _int_members(group, (x,))
-    cls = _class_index(group).eclass.get(x)
+    index = group._classes
+    _int_members(group, index.atom, (x,))
+    cls = index.eclass.get(x)
     if cls is None:
         raise ValueError(f"element {x} has order {group.order_of(x)}, not divisible by 3")
     return cls
@@ -137,7 +90,8 @@ def _decompose(members: frozenset[Element], class_of) -> AtomDecomposition | Non
 
 def in_boolean_algebra(group: GroupSpec, members) -> AtomDecomposition | None:
     """Decompose a set into whole atoms, or None if some atom is cut."""
-    return _decompose(_int_members(group, members), _class_index(group).atom)
+    atoms = group._classes.atom
+    return _decompose(_int_members(group, atoms, members), atoms)
 
 
 def in_skew_family(group: GroupSpec, members) -> AtomDecomposition | None:
@@ -147,8 +101,8 @@ def in_skew_family(group: GroupSpec, members) -> AtomDecomposition | None:
     disjoint from its negation; in particular, when no element has order
     divisible by 3 only the empty set passes.
     """
-    members = _int_members(group, members)
-    eclasses = _class_index(group).eclass
-    if any(x not in eclasses or group.neg(x) in members for x in members):
+    index = group._classes
+    members = _int_members(group, index.atom, members)
+    if any(x not in index.eclass or group.neg(x) in members for x in members):
         return None
-    return _decompose(members, eclasses)
+    return _decompose(members, index.eclass)

@@ -113,19 +113,24 @@ def character_sum(
     return reduce_root_counts(n, counts)
 
 
+def arc_exponents(group: GroupSpec) -> tuple[int, int]:
+    """The exponents of w6 and w6^5, an arc's two weights, as powers of w_N, N = root_order."""
+    return group.root_order // 6, 5 * group.root_order // 6
+
+
 def _terms(cs: ConnectionSet, kind: str) -> list[tuple[Element, int]]:
     """(member, shift) terms of one spectrum: psi(s) for a symmetric member,
     the arc pair w6*psi(s) + w6^5*psi(-s) for a skew one, all plain for adjacency."""
     if kind == "adjacency":
         return [(s, 0) for s in cs.members]
     g = cs.group
-    q6 = g.root_order // 6
+    up, down = arc_exponents(g)
     terms = []
     if kind in ("hs", "simple_part"):
         terms += [(s, 0) for s in cs.sym_part]
     if kind in ("hs", "skew_part"):
         for s in cs.skew_part:
-            terms += [(s, q6), (g.neg(s), 5 * q6)]
+            terms += [(s, up), (g.neg(s), down)]
     return terms
 
 

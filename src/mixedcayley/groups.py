@@ -13,6 +13,8 @@ graph that reads only its 2|S| members and their negations never builds
 the other n - 2|S| columns.  Each entry is an unsigned 16-bit int
 (``array("H")``, 2 bytes): N <= 6 * DEFAULT_SIZE_CAP = 24576 < 2^16, so
 every exponent in [0, N) fits exactly.
+
+The atoms and skew classes are the other table, ``_classes``; both die with the group.
 """
 
 from __future__ import annotations
@@ -22,10 +24,36 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import index, mod
+from typing import NamedTuple
 
 Element = tuple[int, ...]
 
 DEFAULT_SIZE_CAP = 4096
+
+
+def g_units(m: int) -> frozenset[int]:
+    """Multipliers coprime to m: {k : 1 <= k <= m-1, gcd(k, m) = 1}."""
+    if m < 2:
+        raise ValueError(f"unit class needs modulus >= 2, got {m}")
+    return frozenset(k for k in range(1, m) if gcd(k, m) == 1)
+
+
+def g_units_mod3(m: int, r: int) -> frozenset[int]:
+    """Units of Z_m lying in residue class r mod 3 (requires 3 | m)."""
+    if m % 3 != 0:
+        raise ValueError(f"modulus must be divisible by 3, got {m}")
+    if r not in (1, 2):
+        raise ValueError(f"residue must be 1 or 2, got {r}")
+    return frozenset(k for k in g_units(m) if k % 3 == r)
+
+
+Split = tuple[frozenset[Element], tuple[frozenset[Element], ...]]
+
+
+class _ClassIndex(NamedTuple):
+    splits: tuple[Split, ...]
+    atom: dict[Element, frozenset[Element]]
+    eclass: dict[Element, frozenset[Element]]
 
 
 @dataclass(frozen=True)
@@ -82,13 +110,13 @@ class GroupSpec:
 
     def require_element(self, x) -> None:
         """Raise ValueError naming x unless it is a reduced element of the group:
-        hashable, with one reduced int coordinate per factor.  A float
-        coordinate or a list is foreign."""
+        a tuple with one reduced int coordinate per factor.  A float
+        coordinate, a list, bytes or a range is foreign."""
         try:
-            hash(x)
-            if len(x) == len(self.moduli) and all(0 <= index(c) < n for c, n in zip(x, self.moduli)):
-                return
-        except TypeError:  # unhashable, no sequence, or a coordinate that is no integer
+            if isinstance(x, tuple) and len(x) == len(self.moduli):
+                if all(0 <= index(c) < n for c, n in zip(x, self.moduli)):
+                    return
+        except TypeError:  # a coordinate that is no integer
             pass
         raise self._foreign(x)
 
@@ -110,12 +138,30 @@ class GroupSpec:
         return lcm(*(n // gcd(n, c) for c, n in zip(x, self.moduli))) if x else 1
 
     @cached_property
-    def _gamma3(self) -> frozenset[Element]:
-        return frozenset(x for x in self.elements if self.order_of(x) % 3 == 0)
+    def _classes(self) -> _ClassIndex:
+        """The atoms with their skew classes, and the element -> class maps, from
+        one lexicographic walk: each new x is the least member of its atom and
+        of its k = 1 (mod 3) class, so both come out in order of least member.
+        Each class is one frozenset shared by its members."""
+        atoms = {self.zero: frozenset({self.zero})}
+        splits: list[Split] = [(atoms[self.zero], ())]
+        eclasses: dict[Element, frozenset[Element]] = {}
+        for x in self.elements:
+            if x in atoms:
+                continue
+            m = self.order_of(x)
+            atom = frozenset(self.scale(k, x) for k in g_units(m))
+            atoms.update(dict.fromkeys(atom, atom))
+            residues = (1, 2) if m % 3 == 0 else ()
+            classes = tuple(frozenset(self.scale(k, x) for k in g_units_mod3(m, r)) for r in residues)
+            for cls in classes:
+                eclasses.update(dict.fromkeys(cls, cls))
+            splits.append((atom, classes))
+        return _ClassIndex(tuple(splits), atoms, eclasses)
 
     def gamma3(self) -> frozenset[Element]:
-        """Elements whose order is divisible by 3."""
-        return self._gamma3
+        """Elements whose order is divisible by 3: the members of the skew classes."""
+        return frozenset(self._classes.eclass)
 
     @cached_property
     def _lift(self) -> tuple[int, ...]:

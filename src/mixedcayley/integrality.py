@@ -24,12 +24,7 @@ from .atoms import (
     in_boolean_algebra,
     in_skew_family,
 )
-from .cayley import (
-    ConnectionSet,
-    character_sum,
-    exact_spectrum,
-    make_connection_set,
-)
+from .cayley import ConnectionSet, _terms, arc_exponents, character_sum, exact_spectrum, make_connection_set
 from .cyclo import CycloNum, _reduction_plan, as_eisenstein, as_integer, reduce_root_counts
 from .groups import Element, GroupSpec
 
@@ -72,7 +67,7 @@ def certificate(group: GroupSpec, x: Element, alpha: Element) -> CertificateValu
     eclass = eclass_of(group, x)  # ValueError unless x is in the group and 3 divides its order
     group.require_element(alpha)
     n = group.root_order
-    up, down = n // 6, 5 * n // 6  # the exponents of w6 and w6^5
+    up, down = arc_exponents(group)
     exponent = group.character_exponent
     # one pass over the skew class fills both count vectors:
     # hs = w6*psi(s) + w6^5*psi(-s), and the imbalance is
@@ -206,9 +201,8 @@ def classify(group: GroupSpec, members) -> ClassificationReport:
     ``consistency`` is the predicate ``verify`` records a set by, so a set
     is inconsistent here exactly when a sweep would report it."""
     cs = make_connection_set(group, members)
-    # three spectra of n eigenvalues: the simple part counts each symmetric
-    # member once, the skew part each skew member twice, adjacency each member once
-    terms = len(cs.sym_part) + 2 * len(cs.skew_part) + len(cs.members)
+    # three spectra of n eigenvalues each, priced by their terms as ``spectrum`` prices one
+    terms = sum(len(_terms(cs, kind)) for kind in ("simple_part", "skew_part", "adjacency"))
     _require_work(group, group.order * terms, "classify", "set")
     flags, hs, adjacency = _subset_flags(cs, keep_hs=True)
     return ClassificationReport(

@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedcayley import classify, make_connection_set, make_group, parse_group
+from mixedcayley import atom_splits, classify, make_connection_set, make_group, parse_group
 from mixedcayley.cli import run
 from mixedcayley.groups import DEFAULT_SIZE_CAP, GroupSpec
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def brute_order(g, x):
@@ -144,6 +150,45 @@ def test_gamma3_examples():
     assert make_group([4]).gamma3() == frozenset()
     g = make_group([3, 3])
     assert g.gamma3() == {x for x in g.elements if x != g.zero}
+
+
+@pytest.mark.parametrize("mods", [*([n] for n in range(1, 37)), [3, 3], [2, 6], [3, 3, 3], [6, 6]])
+def test_gamma3_is_the_union_of_the_skew_classes(mods):
+    g = make_group(mods)
+    skew_classes = [cls for _, classes in atom_splits(g) for cls in classes]
+    assert g.gamma3() == {x for x in g.elements if g.order_of(x) % 3 == 0}
+    assert g.gamma3() == frozenset().union(*skew_classes)
+
+
+# Every group-reading entry point runs on one Z_9, which is then dropped.
+DROPPED_GROUP_CHILD = """
+import gc, weakref
+from mixedcayley import *
+
+g = make_group([9])
+classify(g, {(1,), (3,), (6,)})
+verify_theorems(g, budget=16)
+atom_of(g, (3,))
+eclass_of(g, (1,))
+certificate(g, (1,), (2,))
+assert enumerate_hs_integral(g).total == 16
+ref = weakref.ref(g)
+del g
+gc.collect()
+assert ref() is None, "the group outlived its last reference"
+"""
+
+
+def test_no_table_outlives_its_group():
+    """Every per-group table is an attribute of its group, so a dropped group
+    is freed.  The check runs in a fresh process: there a cache keyed by
+    groups would hold this very Z_9, not an equal one an earlier test made."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", DROPPED_GROUP_CHILD],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def m_class(g, x, r):
